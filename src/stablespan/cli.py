@@ -23,7 +23,7 @@ from .factorization import factor_from_trace, verify_factorization
 from .graphs import WeightedGraph
 from .polynomials import parse_polynomial
 from .probe import RealRootednessViolation, ZeroCertificate, falsify, verify_certificate
-from .rankwidth import build_rank_decomposition, cut_ranks, exhaustive_min_rankwidth, tree_width
+from .rankwidth import build_rank_decomposition, cut_ranks, exhaustive_min_rankwidth
 from .recognition import is_distance_hereditary_oracle, recognize
 from .spanning import edge_span_poly, matrix_tree_check, vertex_span_poly
 
@@ -138,20 +138,18 @@ def _cmd_factor(args) -> tuple[int, Report]:
 def _cmd_rankdec(args) -> tuple[int, Report]:
     g = _load_graph(args)
     result = recognize(g)
-    if not result.accepted:
-        report = Report("rankdec", args.graph, "rejected", obstruction=_obstruction_dict(result.obstruction))
-        if args.oracle and 2 <= g.n <= args.cap:
-            report.oracle = {"min_rankwidth": exhaustive_min_rankwidth(g, cap=args.cap)}
-        return 1, report
-    tree = build_rank_decomposition(result.trace)
-    ranks = cut_ranks(g, tree)
-    data = formats.tree_to_dict(tree, ranks)
-    data["text"] = formats.tree_to_text(tree)
-    data["width"] = tree_width(g, tree)
-    report = Report("rankdec", args.graph, "width_1_decomposition", decomposition=data)
+    if result.accepted:
+        tree = build_rank_decomposition(result.trace)
+        ranks = cut_ranks(g, tree)
+        data = formats.tree_to_dict(tree, ranks)
+        data["text"] = formats.tree_to_text(tree)
+        data["width"] = max((r.rank for r in ranks), default=0)
+        code, report = 0, Report("rankdec", args.graph, "width_1_decomposition", decomposition=data)
+    else:
+        code, report = 1, Report("rankdec", args.graph, "rejected", obstruction=_obstruction_dict(result.obstruction))
     if args.oracle and 2 <= g.n <= args.cap:
         report.oracle = {"min_rankwidth": exhaustive_min_rankwidth(g, cap=args.cap)}
-    return 0, report
+    return code, report
 
 
 def _cmd_falsify(args) -> tuple[int, Report]:

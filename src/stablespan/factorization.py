@@ -20,8 +20,7 @@ from .recognition import (
     RemoveTwin,
     ScaleVertex,
     SignFlipBlock,
-    apply_construction_step,
-    new_construction_state,
+    construction_walk,
 )
 from .spanning import vertex_span_poly
 
@@ -58,44 +57,29 @@ def factor_from_trace(trace: ReductionTrace) -> LinearFactorization:
       * scaling-by-c step reversed: constant /= c and x_v -> x_v/c;
       * sign flip of block B: constant *= (-1)^(|B|-1).
     """
-    adj = new_construction_state(trace.final_vertex)
     constant = Fraction(1)
     factors: list[LinearForm] = []
-    for step in reversed(trace.steps):
+    for step, adj in construction_walk(trace):
         if isinstance(step, RemovePendant):
-            n_before = len(adj)
-            apply_construction_step(adj, step)
             constant *= step.weight
-            if n_before >= 2:
+            if len(adj) >= 2:
                 factors.append(LinearForm.of({step.attach: Fraction(1)}))
         elif isinstance(step, RemoveTwin):
-            n_before = len(adj)
-            prior_neighbors = dict(adj[step.kept])
-            apply_construction_step(adj, step)
-            if n_before == 1:
+            if len(adj) == 1:
                 constant *= step.bridge
                 continue
             pair_form = LinearForm.of({step.kept: Fraction(1), step.removed: Fraction(1)})
             factors = [f.substitute(step.kept, pair_form) for f in factors]
-            # The equal-weight copy carries bridge/ratio; a ratio != 1 is the
-            # copy followed by scaling the new vertex, handled below.
-            coeffs = {t: w for t, w in prior_neighbors.items()}
-            bridge = step.bridge / step.ratio
-            if bridge != 0:
-                coeffs[step.kept] = coeffs.get(step.kept, Fraction(0)) + bridge
-                coeffs[step.removed] = coeffs.get(step.removed, Fraction(0)) + bridge
+            coeffs = dict(adj[step.kept])
+            if step.bridge != 0:
+                coeffs[step.kept] = coeffs.get(step.kept, Fraction(0)) + step.bridge
+                coeffs[step.removed] = coeffs.get(step.removed, Fraction(0)) + step.bridge
             factors.append(LinearForm.of(coeffs))
-            if step.ratio != 1:
-                constant *= step.ratio
-                scale_form = LinearForm.of({step.removed: step.ratio})
-                factors = [f.substitute(step.removed, scale_form) for f in factors]
         elif isinstance(step, ScaleVertex):
-            apply_construction_step(adj, step)
             constant /= step.c
             inv_form = LinearForm.of({step.v: 1 / step.c})
             factors = [f.substitute(step.v, inv_form) for f in factors]
         elif isinstance(step, SignFlipBlock):
-            apply_construction_step(adj, step)
             if (len(step.block) - 1) % 2 == 1:
                 constant = -constant
     return LinearFactorization(constant, tuple(factors))

@@ -42,7 +42,7 @@ def format_rational(x: Fraction) -> str:
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from exc
 
 
@@ -140,7 +140,7 @@ def trace_to_dict(trace: ReductionTrace) -> dict:
                     "op": "remove_twin",
                     "removed": step.removed,
                     "kept": step.kept,
-                    "ratio": format_rational(step.ratio),
+                    "ratio": "1",
                     "bridge": format_rational(step.bridge),
                 }
             )
@@ -153,32 +153,44 @@ def trace_to_dict(trace: ReductionTrace) -> dict:
     }
 
 
+def _vertex_id(value) -> int:
+    if type(value) is not int:
+        raise MalformedTrace(f"trace vertex id {value!r} is not an integer")
+    return value
+
+
 def trace_from_dict(data: dict) -> ReductionTrace:
-    if data.get("version") != TRACE_SCHEMA_VERSION:
-        raise MalformedTrace(f"unsupported trace version {data.get('version')!r}")
+    """Read a v1 trace.  A `remove_twin` record with ratio r != 1 and bridge p
+    becomes `scale_vertex(removed, 1/r)` followed by a ratio-1 twin with
+    bridge p/r, which replays to the same graph."""
     steps: list = []
-    for record in data["steps"]:
-        op = record.get("op")
-        if op == "sign_flip_block":
-            steps.append(SignFlipBlock(frozenset(record["block"])))
-        elif op == "scale_vertex":
-            steps.append(ScaleVertex(record["v"], parse_rational(record["c"])))
-        elif op == "remove_pendant":
-            steps.append(
-                RemovePendant(record["u"], record["attach"], parse_rational(record["weight"]))
-            )
-        elif op == "remove_twin":
-            steps.append(
-                RemoveTwin(
-                    record["removed"],
-                    record["kept"],
-                    parse_rational(record["ratio"]),
-                    parse_rational(record["bridge"]),
-                )
-            )
-        else:
-            raise MalformedTrace(f"unknown trace op {op!r}")
-    return ReductionTrace(tuple(steps), data["final_vertex"])
+    try:
+        if data.get("version") != TRACE_SCHEMA_VERSION:
+            raise MalformedTrace(f"unsupported trace version {data.get('version')!r}")
+        for record in data["steps"]:
+            op = record.get("op")
+            if op == "sign_flip_block":
+                steps.append(SignFlipBlock(frozenset(_vertex_id(v) for v in record["block"])))
+            elif op == "scale_vertex":
+                steps.append(ScaleVertex(_vertex_id(record["v"]), parse_rational(record["c"])))
+            elif op == "remove_pendant":
+                u, attach = _vertex_id(record["u"]), _vertex_id(record["attach"])
+                steps.append(RemovePendant(u, attach, parse_rational(record["weight"])))
+            elif op == "remove_twin":
+                removed, kept = _vertex_id(record["removed"]), _vertex_id(record["kept"])
+                ratio = parse_rational(record["ratio"])
+                if ratio <= 0:
+                    raise MalformedTrace("twin ratio must be positive")
+                if ratio != 1:
+                    steps.append(ScaleVertex(removed, 1 / ratio))
+                steps.append(RemoveTwin(removed, kept, parse_rational(record["bridge"]) / ratio))
+            else:
+                raise MalformedTrace(f"unknown trace op {op!r}")
+        return ReductionTrace(tuple(steps), _vertex_id(data["final_vertex"]))
+    except KeyError as exc:
+        raise MalformedTrace(f"trace is missing field {exc.args[0]!r}") from exc
+    except (AttributeError, TypeError) as exc:
+        raise MalformedTrace(f"malformed trace: {exc}") from exc
 
 
 # -- certificates -------------------------------------------------------------
@@ -253,13 +265,15 @@ def tree_to_dict(tree: DecompositionTree, ranks: list[CutRankResult] | None = No
 
 
 def tree_to_text(tree: DecompositionTree) -> str:
-    """Parenthesized leaf notation, rooted at the highest-id internal node."""
-    if len(tree.leaves) == 1:
-        (vertex,) = tree.leaves.values()
-        return f"({vertex})"
+    """Parenthesized leaf notation, rooted at the highest-id internal node.
+
+    A tree without internal nodes (one or two vertices) lists its leaves.
+    """
     adj = tree.neighbors()
     internal = [v for v in adj if v not in tree.leaves]
-    root = max(internal) if internal else max(adj)
+    if not internal:
+        return "(" + ",".join(str(v) for v in sorted(tree.leaves.values())) + ")"
+    root = max(internal)
 
     def render(node: int, parent: int | None) -> str:
         if node in tree.leaves:

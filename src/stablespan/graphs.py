@@ -179,10 +179,6 @@ def _blocks_and_articulation(adj: Adjacency) -> tuple[list[frozenset[int]], set[
     return blocks, articulation
 
 
-def _articulation_points(adj: Adjacency) -> set[int]:
-    return _blocks_and_articulation(adj)[1]
-
-
 def _contractible_pairs_adj(adj: Adjacency) -> list["ContractiblePair"]:
     pairs = []
     ids = sorted(adj)
@@ -227,12 +223,6 @@ class BlockDecomposition:
     blocks: tuple[frozenset[int], ...]
     articulation_vertices: frozenset[int]
     block_tree: dict[int, tuple[int, ...]]
-
-    def block_of_edge(self, u: int, v: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if u in b and v in b:
-                return i
-        raise KeyError((u, v))
 
 
 @dataclass(frozen=True)

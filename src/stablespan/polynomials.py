@@ -98,8 +98,6 @@ class GaussianRational:
 
 
 GAUSSIAN_ZERO = GaussianRational()
-GAUSSIAN_ONE = GaussianRational(_ONE, _ZERO)
-GAUSSIAN_I = GaussianRational(_ZERO, _ONE)
 
 
 @dataclass(frozen=True)
@@ -476,7 +474,10 @@ def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
         m = _TERM_RE.match(chunk)
         if not m:
             raise ParseError(f"cannot parse term {chunk!r}")
-        coeff = Fraction(m.group("coef")) if m.group("coef") else _ONE
+        try:
+            coeff = Fraction(m.group("coef")) if m.group("coef") else _ONE
+        except ZeroDivisionError as exc:
+            raise ParseError(f"zero denominator in term {chunk!r}") from exc
         exps: dict[int, int] = {}
         for vm in _VAR_RE.finditer(m.group("vars") or ""):
             idx = int(vm.group(1)) - 1
@@ -503,20 +504,6 @@ def uni_trim(coeffs: list[Fraction]) -> list[Fraction]:
 
 def uni_degree(coeffs: list[Fraction]) -> int:
     return len(coeffs) - 1
-
-
-def uni_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    total = _ZERO
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
-def uni_eval_gaussian(coeffs: list[GaussianRational], x: GaussianRational) -> GaussianRational:
-    total = GAUSSIAN_ZERO
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
 
 
 def uni_derivative(coeffs: list[Fraction]) -> list[Fraction]:

@@ -20,8 +20,7 @@ from .recognition import (
     ReductionTrace,
     RemovePendant,
     RemoveTwin,
-    apply_construction_step,
-    new_construction_state,
+    construction_walk,
 )
 
 TreeEdge = tuple[int, int]
@@ -126,14 +125,9 @@ def _rank(matrix: list[list[Fraction]]) -> int:
 
 def tree_width(g: WeightedGraph, t: DecompositionTree) -> int:
     """Maximum cut rank over the tree's edges."""
-    t.validate()
     if sorted(t.leaves.values()) != list(range(g.n)):
         raise LeafMismatch("tree leaves must biject to the graph vertices")
-    width = 0
-    for edge in t.edges:
-        side = t.side(edge)
-        width = max(width, cut_rank(g, side))
-    return width
+    return max((r.rank for r in cut_ranks(g, t)), default=0)
 
 
 def cut_ranks(g: WeightedGraph, t: DecompositionTree) -> list[CutRankResult]:
@@ -153,7 +147,6 @@ def build_rank_decomposition(trace: ReductionTrace) -> DecompositionTree:
     attachments hang beside the attachment vertex the same way.  Scalings
     and sign flips change no cut rank, hence no tree structure.
     """
-    adj = new_construction_state(trace.final_vertex)
     leaf_node: dict[int, int] = {trace.final_vertex: 0}
     edges: list[TreeEdge] = []
     neighbors: dict[int, set[int]] = {0: set()}
@@ -169,11 +162,10 @@ def build_rank_decomposition(trace: ReductionTrace) -> DecompositionTree:
         neighbors[a].discard(b)
         neighbors[b].discard(a)
 
-    for step in reversed(trace.steps):
+    for step, _ in construction_walk(trace):
         if isinstance(step, (RemovePendant, RemoveTwin)):
             new_vertex = step.u if isinstance(step, RemovePendant) else step.removed
             anchor = step.attach if isinstance(step, RemovePendant) else step.kept
-            apply_construction_step(adj, step)
             new_leaf = next_id
             next_id += 1
             if len(leaf_node) == 1:
@@ -188,8 +180,6 @@ def build_rank_decomposition(trace: ReductionTrace) -> DecompositionTree:
                 add_edge(internal, anchor_leaf)
                 add_edge(internal, new_leaf)
             leaf_node[new_vertex] = new_leaf
-        else:
-            apply_construction_step(adj, step)
 
     return DecompositionTree(
         leaves={node: vertex for vertex, node in leaf_node.items()},
@@ -238,12 +228,3 @@ def exhaustive_min_rankwidth(g: WeightedGraph, cap: int = 7) -> int:
         raise SizeCapExceeded(f"exhaustive rank-width capped at {cap} vertices, got {g.n}")
     return min(tree_width(g, t) for t in enumerate_cubic_trees(g.n))
 
-
-def decomposition_for(g: WeightedGraph) -> DecompositionTree | None:
-    """Convenience: recognize, then build the width-1 tree (None if rejected)."""
-    from .recognition import recognize
-
-    result = recognize(g)
-    if not result.accepted:
-        return None
-    return build_rank_decomposition(result.trace)

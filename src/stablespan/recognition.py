@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import Iterator
 
 from .errors import DisconnectedGraph, MalformedTrace, SizeCapExceeded
 from .graphs import (
     Adjacency,
     MixedSignCertificate,
     WeightedGraph,
-    _articulation_points,
     _contractible_pairs_adj,
     _is_connected,
     normalize_signs,
@@ -63,21 +63,16 @@ class RemovePendant:
 
 @dataclass(frozen=True)
 class RemoveTwin:
-    """`removed` was a contractible twin of `kept`.
-
-    `ratio` is w(x,removed)/w(x,kept) over common neighbors x at the time of
-    removal (the recognizer scales it to 1 first); `bridge` is the weight of
-    the edge removed-kept, 0 when the twins were nonadjacent.
+    """`removed` was a contractible twin of `kept` with equal weights to every
+    common neighbor (the recognizer scales it first); `bridge` is the weight
+    of the edge removed-kept, 0 when the twins were nonadjacent.
     """
 
     removed: int
     kept: int
-    ratio: Fraction
     bridge: Fraction
 
     def __post_init__(self):
-        if self.ratio <= 0:
-            raise MalformedTrace("twin ratio must be positive")
         if self.bridge < 0:
             raise MalformedTrace("bridge weight cannot be negative")
 
@@ -130,11 +125,10 @@ def recognize(g: WeightedGraph) -> RecognitionResult:
 
     Loop order (deterministic): remove the least pendant vertex if one
     exists; otherwise remove the larger member of the lexicographically
-    least contractible pair whose members are both non-articulation
-    vertices, scaling its weight ratio to 1 first so the reversed step is a
-    weight-preserving copy.  Stuck means not stable; the all-weights-1
-    support of the remaining core is searched for a named forbidden
-    subgraph to sharpen the diagnosis.
+    least contractible pair, scaling its weight ratio to 1 first so the
+    reversed step is a weight-preserving copy.  Stuck means not stable; the
+    all-weights-1 support of the remaining core is searched for a named
+    forbidden subgraph to sharpen the diagnosis.
     """
     if not g.is_connected():
         raise DisconnectedGraph("recognition requires a connected graph")
@@ -165,11 +159,10 @@ def recognize(g: WeightedGraph) -> RecognitionResult:
             steps.append(RemovePendant(u, attach, weight))
             _delete_vertex(adj, u)
             continue
-        articulation = _articulation_points(adj)
-        candidates = [
-            p for p in _contractible_pairs_adj(adj)
-            if p.u not in articulation and p.v not in articulation
-        ]
+        # No member of a contractible pair is a cut vertex: every other
+        # neighbor of one twin is a neighbor of the other, so deleting one
+        # twin leaves the graph connected.
+        candidates = _contractible_pairs_adj(adj)
         if not candidates:
             core = frozenset(adj)
             return RecognitionResult(accepted=False, obstruction=_diagnose_core(adj, core))
@@ -183,7 +176,7 @@ def recognize(g: WeightedGraph) -> RecognitionResult:
                 adj[removed][x] *= pair.ratio
                 adj[x][removed] *= pair.ratio
         bridge = adj[removed].get(kept, Fraction(0))
-        steps.append(RemoveTwin(removed, kept, Fraction(1), bridge))
+        steps.append(RemoveTwin(removed, kept, bridge))
         _delete_vertex(adj, removed)
 
     final = next(iter(adj))
@@ -302,61 +295,67 @@ def is_distance_hereditary_oracle(g: WeightedGraph, cap: int = DEFAULT_ORACLE_CA
 # -- trace replay -------------------------------------------------------------
 
 
-def new_construction_state(final_vertex: int) -> Adjacency:
-    return {final_vertex: {}}
+def construction_walk(trace: ReductionTrace) -> Iterator[tuple[TraceStep, Adjacency]]:
+    """Walk a trace in construction (reverse) order from its final vertex.
 
-
-def apply_construction_step(adj: Adjacency, step: TraceStep) -> None:
-    """Apply one reduction step in reverse on a mutable adjacency dict."""
-    if isinstance(step, RemovePendant):
-        if step.u in adj:
-            raise MalformedTrace(f"pendant vertex {step.u} already exists")
-        if step.attach not in adj:
-            raise MalformedTrace(f"pendant attachment vertex {step.attach} does not exist")
-        adj[step.u] = {step.attach: step.weight}
-        adj[step.attach][step.u] = step.weight
-    elif isinstance(step, RemoveTwin):
-        if step.removed in adj:
-            raise MalformedTrace(f"twin vertex {step.removed} already exists")
-        if step.kept not in adj:
-            raise MalformedTrace(f"twin source vertex {step.kept} does not exist")
-        if not adj[step.kept] and step.bridge == 0:
-            raise MalformedTrace(
-                f"copying isolated vertex {step.kept} without a bridge would disconnect the graph"
-            )
-        copied = {x: w * step.ratio for x, w in adj[step.kept].items()}
-        adj[step.removed] = copied
-        for x, w in copied.items():
-            adj[x][step.removed] = w
-        if step.bridge != 0:
-            adj[step.removed][step.kept] = step.bridge
-            adj[step.kept][step.removed] = step.bridge
-    elif isinstance(step, ScaleVertex):
-        if step.v not in adj:
-            raise MalformedTrace(f"scaled vertex {step.v} does not exist")
-        inv = 1 / step.c
-        for x in list(adj[step.v]):
-            adj[step.v][x] *= inv
-            adj[x][step.v] *= inv
-    elif isinstance(step, SignFlipBlock):
-        missing = step.block - set(adj)
-        if missing:
-            raise MalformedTrace(f"sign-flip block references missing vertices {sorted(missing)}")
-        for u in step.block:
-            for x in adj[u]:
-                if x in step.block and u < x:
-                    adj[u][x] = -adj[u][x]
-                    adj[x][u] = adj[u][x]
-    else:
-        raise MalformedTrace(f"unknown trace step {step!r}")
+    Each step is checked, then yielded with the adjacency as it stands
+    before the step, then applied: copy instead of remove, unscale, unflip.
+    Every yield hands out the same dict, mutated in place, so consumers only
+    read it; once the walk ends it holds the whole graph.
+    """
+    adj: Adjacency = {trace.final_vertex: {}}
+    for step in reversed(trace.steps):
+        if isinstance(step, RemovePendant):
+            if step.u in adj:
+                raise MalformedTrace(f"pendant vertex {step.u} already exists")
+            if step.attach not in adj:
+                raise MalformedTrace(f"pendant attachment vertex {step.attach} does not exist")
+            yield step, adj
+            adj[step.u] = {step.attach: step.weight}
+            adj[step.attach][step.u] = step.weight
+        elif isinstance(step, RemoveTwin):
+            if step.removed in adj:
+                raise MalformedTrace(f"twin vertex {step.removed} already exists")
+            if step.kept not in adj:
+                raise MalformedTrace(f"twin source vertex {step.kept} does not exist")
+            if not adj[step.kept] and step.bridge == 0:
+                raise MalformedTrace(
+                    f"copying isolated vertex {step.kept} without a bridge would disconnect the graph"
+                )
+            yield step, adj
+            adj[step.removed] = dict(adj[step.kept])
+            for x, w in adj[step.kept].items():
+                adj[x][step.removed] = w
+            if step.bridge != 0:
+                adj[step.removed][step.kept] = step.bridge
+                adj[step.kept][step.removed] = step.bridge
+        elif isinstance(step, ScaleVertex):
+            if step.v not in adj:
+                raise MalformedTrace(f"scaled vertex {step.v} does not exist")
+            yield step, adj
+            inv = 1 / step.c
+            for x in list(adj[step.v]):
+                adj[step.v][x] *= inv
+                adj[x][step.v] *= inv
+        elif isinstance(step, SignFlipBlock):
+            missing = step.block - set(adj)
+            if missing:
+                raise MalformedTrace(f"sign-flip block references missing vertices {sorted(missing)}")
+            yield step, adj
+            for u in step.block:
+                for x in adj[u]:
+                    if x in step.block and u < x:
+                        adj[u][x] = -adj[u][x]
+                        adj[x][u] = adj[u][x]
+        else:
+            raise MalformedTrace(f"unknown trace step {step!r}")
 
 
 def replay_trace(trace: ReductionTrace) -> WeightedGraph:
-    """Rebuild the graph a trace reduces: start from the final vertex and
-    apply the steps in reverse (copy instead of remove, unscale, unflip)."""
-    adj = new_construction_state(trace.final_vertex)
-    for step in reversed(trace.steps):
-        apply_construction_step(adj, step)
+    """Rebuild the graph a trace reduces by walking it to the end."""
+    adj: Adjacency = {trace.final_vertex: {}}
+    for _, adj in construction_walk(trace):
+        pass
     if not _is_connected(adj):
         raise MalformedTrace("replayed graph is disconnected")
     return adjacency_to_graph(adj)

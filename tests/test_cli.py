@@ -7,7 +7,8 @@ import pytest
 from stablespan import formats
 from stablespan.cli import Report, run
 from stablespan.corpus import FIXTURES
-from stablespan.recognition import replay_trace
+from stablespan.rankwidth import build_rank_decomposition, tree_width
+from stablespan.recognition import recognize, replay_trace
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,27 @@ class TestReports:
         assert code == 1
         report = Report.from_json(out)
         assert report.oracle == {"min_rankwidth": 2}
+
+    def test_rankdec_width_is_tree_width(self, fixture_dir, capsys):
+        for name, g in FIXTURES.items():
+            result = recognize(g)
+            if not result.accepted:
+                continue
+            code, out = capture(capsys, ["rankdec", str(fixture_dir / f"{name}.graph"), "--json"])
+            assert code == 0, name
+            tree = build_rank_decomposition(result.trace)
+            assert Report.from_json(out).decomposition["width"] == tree_width(g, tree), name
+
+    def test_rankdec_k2_lists_both_vertices(self, tmp_path, capsys):
+        path = tmp_path / "k2.graph"
+        path.write_text("n 2\n0 1 1\n")
+        code, out = capture(capsys, ["rankdec", str(path), "--json"])
+        assert code == 0
+        assert Report.from_json(out).decomposition["text"] == "(0,1)"
+
+    def test_falsify_poly_zero_denominator_is_input_error(self, capsys):
+        assert run(["falsify", "--poly", "1/0"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_falsify_poly_expression(self, capsys):
         code, out = capture(capsys, ["falsify", "--poly", "x1^2 + 1", "--json"])

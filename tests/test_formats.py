@@ -4,7 +4,8 @@ import pytest
 
 from stablespan import formats
 from stablespan.corpus import FIXTURES, c4_graph
-from stablespan.errors import ParseError, ZeroWeightEdge
+from stablespan.errors import MalformedTrace, ParseError, ZeroWeightEdge
+from stablespan.factorization import factor_from_trace
 from stablespan.graphs import WeightedGraph
 from stablespan.polynomials import GaussianRational
 from stablespan.probe import ZeroCertificate
@@ -16,7 +17,9 @@ from stablespan.recognition import (
     ScaleVertex,
     SignFlipBlock,
     recognize,
+    replay_trace,
 )
+from stablespan.spanning import vertex_span_poly
 
 F = Fraction
 
@@ -79,7 +82,7 @@ class TestTraceJson:
             (
                 SignFlipBlock(frozenset({0, 1, 2})),
                 ScaleVertex(2, F(2, 3)),
-                RemoveTwin(2, 0, F(1), F(0)),
+                RemoveTwin(2, 0, F(0)),
                 RemovePendant(1, 0, F(5, 2)),
                 RemovePendant(0, 3, F(1)),
             ),
@@ -92,6 +95,57 @@ class TestTraceJson:
     def test_recognizer_trace_round_trips(self):
         trace = recognize(c4_graph(2, 3, 3, 2)).trace
         assert formats.trace_from_dict(formats.trace_to_dict(trace)) == trace
+
+    def test_v1_non_unit_ratio_reads_as_scale_then_twin(self):
+        # Twin records with ratio 1/2 (closed) and 3 (open), as v1 allows.
+        data = {
+            "version": 1,
+            "final_vertex": 0,
+            "steps": [
+                {"op": "remove_twin", "removed": 3, "kept": 0, "ratio": "1/2", "bridge": "5"},
+                {"op": "remove_twin", "removed": 2, "kept": 1, "ratio": "3", "bridge": "0"},
+                {"op": "remove_pendant", "u": 1, "attach": 0, "weight": "2"},
+            ],
+        }
+        trace = formats.trace_from_dict(data)
+        assert trace.steps == (
+            ScaleVertex(3, F(2)),
+            RemoveTwin(3, 0, F(10)),
+            ScaleVertex(2, F(1, 3)),
+            RemoveTwin(2, 1, F(0)),
+            RemovePendant(1, 0, F(2)),
+        )
+        g = replay_trace(trace)
+        assert g == WeightedGraph.from_edges(
+            4, [(0, 1, 2), (0, 2, 6), (0, 3, 5), (1, 3, 1), (2, 3, 3)]
+        )
+        assert factor_from_trace(trace).expand(g.n) == vertex_span_poly(g)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"version": 1},
+            {"version": 2, "final_vertex": 0, "steps": []},
+            [],
+            {"version": 1, "steps": []},
+            {"version": 1, "final_vertex": "a", "steps": []},
+            {"version": 1, "final_vertex": 0, "steps": [{"op": "remove_twin", "removed": 1, "kept": 0, "bridge": "1"}]},
+            {"version": 1, "final_vertex": 0, "steps": [{"op": "remove_twin", "removed": 1, "kept": 0, "ratio": "0", "bridge": "1"}]},
+            {"version": 1, "final_vertex": 0, "steps": [{"op": "remove_pendant", "u": "a", "attach": 0, "weight": "1"}]},
+            {"version": 1, "final_vertex": 0, "steps": [{"op": "sign_flip_block", "block": [0, True]}]},
+            {"version": 1, "final_vertex": 0, "steps": [{"op": "sign_flip_block", "block": 0}]},
+            {"version": 1, "final_vertex": 0, "steps": ["remove_pendant"]},
+            {"version": 1, "final_vertex": 0, "steps": [{"op": "grow"}]},
+        ],
+    )
+    def test_malformed_traces_raise_domain_errors(self, data):
+        with pytest.raises(MalformedTrace):
+            formats.trace_from_dict(data)
+
+    def test_bad_rational_in_trace_is_parse_error(self):
+        data = {"version": 1, "final_vertex": 0, "steps": [{"op": "remove_pendant", "u": 1, "attach": 0, "weight": None}]}
+        with pytest.raises(ParseError):
+            formats.trace_from_dict(data)
 
 
 class TestCertificateJson:
@@ -119,3 +173,7 @@ class TestTreeSerialization:
         data = formats.tree_to_dict(tree, cut_ranks(g, tree))
         assert set(data) == {"version", "leaves", "edges", "ranks"}
         assert all(info["rank"] == 1 for info in data["ranks"].values())
+
+    def test_text_of_single_vertex(self):
+        tree = build_rank_decomposition(recognize(WeightedGraph(1, {})).trace)
+        assert formats.tree_to_text(tree) == "(0)"

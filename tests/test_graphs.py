@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,7 @@ from stablespan.errors import DisconnectedGraph, EmptySet, InvalidGraph, ZeroWei
 from stablespan.graphs import (
     MixedSignCertificate,
     WeightedGraph,
+    _contractible_pairs_adj,
     biconnected_components,
     find_contractible_pairs,
     flip_blocks,
@@ -194,6 +196,33 @@ class TestContractiblePairs:
             for p in find_contractible_pairs(g):
                 for xw in g.neighbors(p.u) - {p.v}:
                     assert g.weight(xw, p.u) == p.ratio * g.weight(xw, p.v)
+
+
+class TestTwinLemma:
+    """No member of a contractible pair is a cut vertex: every other neighbor
+    of one twin is a neighbor of the other.  The recognizer relies on this
+    instead of filtering candidates by articulation points."""
+
+    @staticmethod
+    def assert_no_twin_is_cut_vertex(g: WeightedGraph) -> None:
+        cut = brute_articulation_points(g)
+        for p in _contractible_pairs_adj(g.adjacency()):
+            assert p.u not in cut and p.v not in cut, (g, p)
+
+    def test_every_connected_graph_up_to_five_vertices(self):
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = WeightedGraph(n, {e: F(1) for i, e in enumerate(pairs) if mask >> i & 1})
+                if g.is_connected():
+                    self.assert_no_twin_is_cut_vertex(g)
+
+    def test_random_graphs_up_to_twelve_vertices(self):
+        rng = random.Random(23)
+        for _ in range(150):
+            n = rng.randint(2, 12)
+            self.assert_no_twin_is_cut_vertex(random_constructed(rng, n))
+            self.assert_no_twin_is_cut_vertex(random_connected(rng, n, extra_edge_prob=0.15))
 
 
 class TestInducedSubgraph:

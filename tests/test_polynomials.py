@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablespan.errors import VariableMismatch
+from stablespan.errors import ParseError, VariableMismatch
 from stablespan.polynomials import (
     GaussianRational,
     LinearForm,
@@ -220,6 +220,12 @@ class TestTextForm:
         assert parse_polynomial("2*x1^2 - 3/2") == Polynomial(
             {((0, 2),): F(2), (): F(-3, 2)}, 1
         )
+
+    def test_zero_denominator_is_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_polynomial("1/0")
+        with pytest.raises(ParseError):
+            parse_polynomial("x1 + 3/0*x2")
 
 
 class TestDivexact:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_distance_hereditary
+from stablespan import formats
 from stablespan.corpus import (
     FIXTURES,
     c4_graph,
@@ -29,6 +30,19 @@ from stablespan.recognition import (
 )
 
 F = Fraction
+
+
+def _twin_trace(ratio: str, bridge: str) -> dict:
+    """v1 trace: vertex 2 a twin of 1 with the given ratio and bridge, then
+    vertex 0 a pendant at 1."""
+    return {
+        "version": 1,
+        "final_vertex": 1,
+        "steps": [
+            {"op": "remove_twin", "removed": 2, "kept": 1, "ratio": ratio, "bridge": bridge},
+            {"op": "remove_pendant", "u": 0, "attach": 1, "weight": "1"},
+        ],
+    }
 
 
 class TestRecognizeFixtures:
@@ -103,7 +117,7 @@ class TestReplay:
         assert replay_trace(trace) == WeightedGraph(2, {(0, 1): F(1)})
 
     def test_copy_of_isolated_vertex_rejected(self):
-        trace = ReductionTrace((RemoveTwin(1, 0, F(1), F(0)),), final_vertex=0)
+        trace = ReductionTrace((RemoveTwin(1, 0, F(0)),), final_vertex=0)
         with pytest.raises(MalformedTrace):
             replay_trace(trace)
 
@@ -125,15 +139,13 @@ class TestReplay:
         with pytest.raises(MalformedTrace):
             ScaleVertex(0, F(-2))
         with pytest.raises(MalformedTrace):
-            RemoveTwin(1, 0, F(0), F(0))
+            formats.trace_from_dict(_twin_trace("0", "0"))
         with pytest.raises(MalformedTrace):
-            RemoveTwin(1, 0, F(1), F(-1))
+            RemoveTwin(1, 0, F(-1))
 
     def test_general_ratio_twin_replay(self):
-        # hand-made trace with a non-unit ratio: copy scales the new vertex
-        trace = ReductionTrace(
-            (RemoveTwin(2, 1, F(3), F(2)), RemovePendant(0, 1, F(1))), final_vertex=1
-        )
+        # hand-made v1 trace with a non-unit ratio: copy scales the new vertex
+        trace = formats.trace_from_dict(_twin_trace("3", "2"))
         g = replay_trace(trace)
         assert g.weight(0, 2) == 3  # 3 * w(0,1)
         assert g.weight(1, 2) == 2
