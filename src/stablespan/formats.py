@@ -222,17 +222,22 @@ def certificate_to_dict(cert: ZeroCertificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> ZeroCertificate:
-    if data.get("version") != CERTIFICATE_SCHEMA_VERSION:
-        raise ParseError(f"unsupported certificate version {data.get('version')!r}")
-    return ZeroCertificate(
-        real_substitutions={
-            _var_index(name): parse_rational(val) for name, val in data["substitutions"].items()
-        },
-        hpoint={
-            _var_index(name): GaussianRational(parse_rational(z["re"]), parse_rational(z["im"]))
-            for name, z in data["hpoint"].items()
-        },
-    )
+    try:
+        if data.get("version") != CERTIFICATE_SCHEMA_VERSION:
+            raise ParseError(f"unsupported certificate version {data.get('version')!r}")
+        return ZeroCertificate(
+            real_substitutions={
+                _var_index(name): parse_rational(val) for name, val in data["substitutions"].items()
+            },
+            hpoint={
+                _var_index(name): GaussianRational(parse_rational(z["re"]), parse_rational(z["im"]))
+                for name, z in data["hpoint"].items()
+            },
+        )
+    except KeyError as exc:
+        raise ParseError(f"certificate is missing field {exc.args[0]!r}") from exc
+    except (AttributeError, TypeError) as exc:
+        raise ParseError(f"malformed certificate: {exc}") from exc
 
 
 def violation_to_dict(witness: RealRootednessViolation) -> dict:

@@ -7,8 +7,11 @@ are `fractions.Fraction` end to end.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import DisconnectedGraph, EmptySet, InvalidGraph, ZeroWeightEdge
 from .polynomials import GaussianRational, Polynomial
@@ -179,33 +182,43 @@ def _blocks_and_articulation(adj: Adjacency) -> tuple[list[frozenset[int]], set[
     return blocks, articulation
 
 
-def _contractible_pairs_adj(adj: Adjacency) -> list["ContractiblePair"]:
-    pairs = []
+def _contractible_pairs_adj(adj: Adjacency) -> Iterator["ContractiblePair"]:
+    """Contractible pairs of a positive adjacency, lazily, in (u, v) order;
+    see `find_contractible_pairs`."""
     ids = sorted(adj)
-    for i, u in enumerate(ids):
-        for v in ids[i + 1 :]:
-            nu = set(adj[u]) - {v}
-            nv = set(adj[v]) - {u}
-            if nu != nv:
-                continue
+    # Neighbourhoods are keyed as sorted tuples, a fraction of the memory of
+    # frozensets.  One dict holds both kinds of group: N(u) = N[w] would give
+    # w in N(u), so u in N(w), a subset of N[w] = N(u), and u would
+    # neighbour itself.
+    groups: dict[tuple[int, ...], list[int]] = {}
+    keys: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    for u in ids:
+        nbrs = sorted(adj[u])
+        open_key = tuple(nbrs)
+        insort(nbrs, u)
+        keys[u] = (open_key, tuple(nbrs))
+        for key in keys[u]:
+            groups.setdefault(key, []).append(u)
+    for u in ids:
+        # At most one of u's groups has other members: an open twin v and a
+        # closed twin w would give w in N(u) = N(v), so v in N[w] = N[u],
+        # and v would neighbour u.  Groups list their members in order.
+        later = [v for key in keys[u] for v in groups[key][bisect_right(groups[key], u) :]]
+        for v in later:
             ratio = None
-            ok = True
-            for x in nu:
+            for x in adj[u]:
+                if x == v:
+                    continue
                 r = adj[x][u] / adj[x][v]
                 if ratio is None:
                     ratio = r
                 elif r != ratio:
-                    ok = False
                     break
-            if not ok:
-                continue
-            if ratio is None:
-                ratio = Fraction(1)  # vacuous condition (K2 endpoints)
-            if ratio <= 0:
-                continue
-            bridge = adj[u].get(v, Fraction(0))
-            pairs.append(ContractiblePair(u, v, ratio, bridge))
-    return pairs
+            else:
+                if ratio is None:
+                    ratio = Fraction(1)
+                if ratio > 0:
+                    yield ContractiblePair(u, v, ratio, adj[u].get(v, Fraction(0)))
 
 
 # -- domain types -----------------------------------------------------------
@@ -283,9 +296,9 @@ def biconnected_components(g: WeightedGraph) -> BlockDecomposition:
     blocks, articulation = _blocks_and_articulation(adj)
     tree: dict[int, list[int]] = {a: [] for a in articulation}
     for i, b in enumerate(blocks):
-        for a in articulation:
-            if a in b:
-                tree[a].append(i)
+        for v in b:
+            if v in tree:
+                tree[v].append(i)
     return BlockDecomposition(
         blocks=tuple(blocks),
         articulation_vertices=frozenset(articulation),
@@ -304,46 +317,59 @@ def normalize_signs(
     locating two adjacent opposite-sign edges in that block is returned.
     """
     dec = biconnected_components(g)
+    # Every edge lies in exactly one block, and two blocks share at most one
+    # vertex, so the blocks of its two endpoints meet in exactly its block.
+    member = _block_members(dec.blocks)
+    block_edges: list[list[Edge]] = [[] for _ in dec.blocks]
+    for u, v in g.edges:
+        (i,) = member[u] & member[v]
+        block_edges[i].append((u, v))
     flipped: list[frozenset[int]] = []
     new_edges = dict(g.edges)
-    for block in dec.blocks:
-        block_edges = [e for e in g.edges if e[0] in block and e[1] in block]
-        signs = {g.edges[e] > 0 for e in block_edges}
+    for block, edges in zip(dec.blocks, block_edges):
+        signs = {g.edges[e] > 0 for e in edges}
         if len(signs) == 2:
-            # Two opposite-sign edges sharing an endpoint exist inside any
-            # connected mixed-sign edge set; find one such vertex.
-            for v in sorted(block):
-                pos = neg = None
-                for e in block_edges:
-                    if v in e:
-                        u = e[0] if e[1] == v else e[1]
-                        if g.edges[e] > 0:
-                            pos = (u, g.edges[e])
-                        else:
-                            neg = (u, g.edges[e])
-                if pos and neg:
-                    return MixedSignCertificate(
-                        center=v,
-                        pos_neighbor=pos[0],
-                        pos_weight=pos[1],
-                        neg_neighbor=neg[0],
-                        neg_weight=neg[1],
-                    )
-            raise AssertionError("mixed-sign block without a mixed-sign vertex")
+            return _mixed_sign_certificate(g, edges)
         if signs == {False}:
             flipped.append(block)
-            for e in block_edges:
+            for e in edges:
                 new_edges[e] = -new_edges[e]
     return WeightedGraph(g.n, new_edges, g.labels), tuple(flipped)
 
 
+def _block_members(blocks: tuple[frozenset[int], ...]) -> defaultdict[int, set[int]]:
+    """Vertex -> indices of the listed vertex sets that contain it."""
+    member: defaultdict[int, set[int]] = defaultdict(set)
+    for i, block in enumerate(blocks):
+        for v in block:
+            member[v].add(i)
+    return member
+
+
+def _mixed_sign_certificate(g: WeightedGraph, edges: list[Edge]) -> MixedSignCertificate:
+    """The least vertex with edges of both signs among `edges`, each sign's
+    edge taken as the last of that sign in the list.
+
+    Two opposite-sign edges sharing an endpoint exist inside any connected
+    mixed-sign edge set, such as the edges of one block.
+    """
+    last: dict[int, list] = {}
+    for e in edges:
+        w = g.edges[e]
+        for v, u in (e, e[::-1]):
+            last.setdefault(v, [None, None])[w < 0] = (u, w)
+    center = min(v for v, (pos, neg) in last.items() if pos and neg)
+    (pos_neighbor, pos_weight), (neg_neighbor, neg_weight) = last[center]
+    return MixedSignCertificate(center, pos_neighbor, pos_weight, neg_neighbor, neg_weight)
+
+
 def flip_blocks(g: WeightedGraph, blocks: tuple[frozenset[int], ...]) -> WeightedGraph:
-    """Negate the edges inside each listed block (its own inverse)."""
-    edges = dict(g.edges)
-    for block in blocks:
-        for e in edges:
-            if e[0] in block and e[1] in block:
-                edges[e] = -edges[e]
+    """Negate the edges inside each listed block (its own inverse).
+
+    An edge inside several listed sets is negated once for each of them.
+    """
+    member = _block_members(blocks)
+    edges = {(u, v): -w if len(member[u] & member[v]) % 2 else w for (u, v), w in g.edges.items()}
     return WeightedGraph(g.n, edges, g.labels)
 
 
@@ -353,10 +379,16 @@ def find_contractible_pairs(g: WeightedGraph) -> list[ContractiblePair]:
     Requires all weights positive: contractibility is defined only after
     sign normalization.  Adjacent endpoints with no further neighbors (the
     K2 case) count as a closed pair with ratio fixed to 1 by convention.
+
+    Twins u, v have equal open neighbourhoods when nonadjacent and equal
+    closed neighbourhoods when adjacent, so vertices are grouped by both and
+    only pairs inside one group are tested.  That costs O(n + m) for the
+    groups plus O(deg u) per pair inside a group for its weight ratio,
+    instead of testing all n(n-1)/2 pairs.
     """
     if any(w <= 0 for w in g.edges.values()):
         raise InvalidGraph("contractible pairs are defined for positive weights; normalize signs first")
-    return _contractible_pairs_adj(g.adjacency())
+    return list(_contractible_pairs_adj(g.adjacency()))
 
 
 def induced_subgraph(g: WeightedGraph, s: set[int]) -> tuple[WeightedGraph, tuple[int, ...]]:

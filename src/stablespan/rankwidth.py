@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import InvalidSubset, LeafMismatch, SizeCapExceeded
-from .graphs import WeightedGraph
+from .graphs import Adjacency, WeightedGraph, _is_connected
 from .recognition import (
     ReductionTrace,
     RemovePendant,
@@ -53,7 +53,7 @@ class DecompositionTree:
 
     def validate(self) -> None:
         adj = self.neighbors()
-        for node in self.nodes():
+        for node in adj:
             deg = len(adj[node])
             if node in self.leaves:
                 expected = 0 if len(self.leaves) == 1 else 1
@@ -61,22 +61,8 @@ class DecompositionTree:
                     raise LeafMismatch(f"leaf node {node} has tree degree {deg}")
             elif deg != 3:
                 raise LeafMismatch(f"internal node {node} has degree {deg}, want 3")
-
-    def side(self, edge: TreeEdge) -> frozenset[int]:
-        """Graph vertices whose leaves land on the first-endpoint side of edge."""
-        a, b = edge
-        adj = self.neighbors()
-        seen = {a}
-        stack = [a]
-        while stack:
-            node = stack.pop()
-            for u in adj[node]:
-                if (node, u) in ((a, b), (b, a)):
-                    continue
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return frozenset(self.leaves[x] for x in seen if x in self.leaves)
+        if len(self.edges) != len(adj) - 1 or not _is_connected(adj):
+            raise LeafMismatch(f"{len(self.edges)} edges on {len(adj)} nodes do not form one tree")
 
 
 @dataclass(frozen=True)
@@ -91,13 +77,16 @@ def cut_rank(g: WeightedGraph, a: set[int] | frozenset[int]) -> int:
     a = set(a)
     if not a or not a <= set(range(g.n)) or len(a) == g.n:
         raise InvalidSubset("cut rank needs a proper nonempty vertex subset")
-    rows = sorted(a)
-    cols = sorted(set(range(g.n)) - a)
-    matrix = [
-        [g.edges.get((min(u, v), max(u, v)), Fraction(0)) for v in cols]
-        for u in rows
-    ]
-    return _rank(matrix)
+    return _cut_rank(g.adjacency(), a)
+
+
+def _cut_rank(adj: Adjacency, a: set[int] | frozenset[int]) -> int:
+    """Rank of the block rows(A) x columns(V-A), built on the boundary only:
+    rows of A with a neighbour outside A, columns outside A with a neighbour
+    in A.  Every row or column left out is zero, so the rank is unchanged."""
+    rows = [u for u in a if not adj[u].keys() <= a]
+    cols = sorted({x for u in rows for x in adj[u] if x not in a})
+    return _rank([[adj[u].get(x, Fraction(0)) for x in cols] for u in rows])
 
 
 def _rank(matrix: list[list[Fraction]]) -> int:
@@ -125,17 +114,46 @@ def _rank(matrix: list[list[Fraction]]) -> int:
 
 def tree_width(g: WeightedGraph, t: DecompositionTree) -> int:
     """Maximum cut rank over the tree's edges."""
-    if sorted(t.leaves.values()) != list(range(g.n)):
-        raise LeafMismatch("tree leaves must biject to the graph vertices")
     return max((r.rank for r in cut_ranks(g, t)), default=0)
 
 
 def cut_ranks(g: WeightedGraph, t: DecompositionTree) -> list[CutRankResult]:
+    """Cut rank of every tree edge, with the graph vertices on the side of
+    its first endpoint.
+
+    The tree is rooted once, and one pass from the deepest nodes up collects
+    the graph vertices below every node.  The side of edge (a, b) is then
+    below[a] when b is the parent of a, and V - below[b] otherwise.  The
+    sides take O(n*h) for a tree of height h, against O(n) per edge for a
+    search of the tree; each rank is an elimination on the boundary block of
+    its cut (`_cut_rank`), which is small when the graph is sparse.
+    """
+    if sorted(t.leaves.values()) != list(range(g.n)):
+        raise LeafMismatch("tree leaves must biject to the graph vertices")
     t.validate()
+    tree_adj = t.neighbors()
+    root = next(iter(t.leaves))
+    parent: dict[int, int | None] = {root: None}
+    order = [root]
+    for node in order:
+        for u in tree_adj[node]:
+            if u not in parent:
+                parent[u] = node
+                order.append(u)
+    below: dict[int, frozenset[int]] = {}
+    for node in reversed(order):
+        vertices = {t.leaves[node]} if node in t.leaves else set()
+        for u in tree_adj[node]:
+            if u != parent[node]:
+                vertices |= below[u]
+        below[node] = frozenset(vertices)
+    everything = below[root]
+    adj = g.adjacency()
     out = []
     for edge in t.edges:
-        side = t.side(edge)
-        out.append(CutRankResult(edge, side, cut_rank(g, side)))
+        a, b = edge
+        side = below[a] if parent[a] == b else everything - below[b]
+        out.append(CutRankResult(edge, side, _cut_rank(adj, side)))
     return out
 
 

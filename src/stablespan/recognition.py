@@ -152,9 +152,8 @@ def recognize(g: WeightedGraph) -> RecognitionResult:
     adj = positive.adjacency()
 
     while len(adj) > 1:
-        pendants = sorted(v for v in adj if len(adj[v]) == 1)
-        if pendants:
-            u = pendants[0]
+        u = min((v for v in adj if len(adj[v]) == 1), default=None)
+        if u is not None:
             attach, weight = next(iter(adj[u].items()))
             steps.append(RemovePendant(u, attach, weight))
             _delete_vertex(adj, u)
@@ -162,11 +161,10 @@ def recognize(g: WeightedGraph) -> RecognitionResult:
         # No member of a contractible pair is a cut vertex: every other
         # neighbor of one twin is a neighbor of the other, so deleting one
         # twin leaves the graph connected.
-        candidates = _contractible_pairs_adj(adj)
-        if not candidates:
+        pair = next(_contractible_pairs_adj(adj), None)
+        if pair is None:
             core = frozenset(adj)
             return RecognitionResult(accepted=False, obstruction=_diagnose_core(adj, core))
-        pair = min(candidates, key=lambda p: (p.u, p.v))
         removed, kept = pair.v, pair.u
         # pair.ratio is w(x, pair.u)/w(x, pair.v); removing pair.v means the
         # removed-over-kept ratio is its inverse.
@@ -191,9 +189,10 @@ def _delete_vertex(adj: Adjacency, v: int) -> None:
 
 def _diagnose_core(adj: Adjacency, core: frozenset[int]) -> Obstruction:
     order = sorted(core)
+    index = {v: i for i, v in enumerate(order)}
     support = WeightedGraph(
         len(order),
-        {(order.index(u), order.index(v)): Fraction(1) for u in adj for v in adj[u] if u < v},
+        {(index[u], index[v]): Fraction(1) for u in adj for v in adj[u] if u < v},
     )
     found: ForbiddenSubgraph | bool = True
     if support.n <= DEFAULT_ORACLE_CAP:

@@ -3,7 +3,9 @@
 Everything here is deliberately independent of the package internals it
 checks: articulation points by vertex deletion, distance-hereditariness by
 the literal distance-preservation definition, trees by Prufer sequences,
-cographs by union/join composition.
+cographs by union/join composition, contractible pairs by testing every
+vertex pair, tree sides by a search per edge, cut ranks on the full dense
+block.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from stablespan.graphs import WeightedGraph
+from stablespan.graphs import ContractiblePair, WeightedGraph
+from stablespan.rankwidth import DecompositionTree, _rank
 
 
 def bfs_distances(adj: dict[int, set[int]], start: int) -> dict[int, int]:
@@ -205,3 +208,44 @@ def connected_cographs(n: int) -> list[WeightedGraph]:
         WeightedGraph(n, {e: Fraction(1) for e in edges})
         for edges in connected_sets(n)
     ]
+
+
+def brute_contractible_pairs(adj: dict[int, dict[int, Fraction]]) -> list[ContractiblePair]:
+    """Every contractible pair by testing all vertex pairs, in (u, v) order:
+    equal neighbourhoods apart from each other, and a positive weight ratio
+    that is constant over the common neighbours (1 when there are none)."""
+    pairs = []
+    for u, v in combinations(sorted(adj), 2):
+        common = set(adj[u]) - {v}
+        if common != set(adj[v]) - {u}:
+            continue
+        ratios = {adj[x][u] / adj[x][v] for x in common}
+        if len(ratios) > 1:
+            continue
+        ratio = ratios.pop() if ratios else Fraction(1)
+        if ratio > 0:
+            pairs.append(ContractiblePair(u, v, ratio, adj[u].get(v, Fraction(0))))
+    return pairs
+
+
+def brute_tree_side(tree: DecompositionTree, edge: tuple[int, int]) -> frozenset[int]:
+    """Graph vertices whose leaves a search from edge[0] reaches without
+    crossing the edge."""
+    a, b = edge
+    adj = tree.neighbors()
+    seen = {a}
+    stack = [a]
+    while stack:
+        node = stack.pop()
+        for u in adj[node]:
+            if {node, u} != {a, b} and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return frozenset(tree.leaves[x] for x in seen if x in tree.leaves)
+
+
+def dense_cut_rank(g: WeightedGraph, a: frozenset[int]) -> int:
+    """Rank of the full |A| x |V-A| weighted adjacency block."""
+    rows = sorted(a)
+    cols = sorted(set(range(g.n)) - a)
+    return _rank([[g.edges.get((min(u, v), max(u, v)), Fraction(0)) for v in cols] for u in rows])

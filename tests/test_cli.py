@@ -6,7 +6,7 @@ import pytest
 
 from stablespan import formats
 from stablespan.cli import Report, run
-from stablespan.corpus import FIXTURES
+from stablespan.corpus import FIXTURES, complete_graph
 from stablespan.rankwidth import build_rank_decomposition, tree_width
 from stablespan.recognition import recognize, replay_trace
 
@@ -137,6 +137,13 @@ class TestReports:
         code, out = capture(capsys, ["rankdec", str(path), "--json"])
         assert code == 0
         assert Report.from_json(out).decomposition["text"] == "(0,1)"
+
+    def test_rankdec_complete_graph_40_has_width_one(self, tmp_path, capsys):
+        path = tmp_path / "k40.graph"
+        path.write_text(formats.format_graph_text(complete_graph(40)))
+        code, out = capture(capsys, ["rankdec", str(path), "--json"])
+        assert code == 0
+        assert Report.from_json(out).decomposition["width"] == 1
 
     def test_falsify_poly_zero_denominator_is_input_error(self, capsys):
         assert run(["falsify", "--poly", "1/0"]) == 2

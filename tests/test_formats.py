@@ -161,6 +161,24 @@ class TestCertificateJson:
         assert data["hpoint"]["x2"] == {"re": "-3/5", "im": "1/5"}
         assert formats.certificate_from_dict(data) == cert
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"version": 1},
+            {"version": 1, "substitutions": {}},
+            {"version": 1, "substitutions": {}, "hpoint": {"x1": {"im": "1"}}},
+            {"version": 1, "substitutions": {}, "hpoint": {"x1": {"re": "0"}}},
+            {"version": 1, "substitutions": {}, "hpoint": {"x1": "i"}},
+            {"version": 1, "substitutions": [], "hpoint": {}},
+            [],
+            None,
+            "certificate",
+        ],
+    )
+    def test_malformed_certificates_raise_parse_error(self, data):
+        with pytest.raises(ParseError):
+            formats.certificate_from_dict(data)
+
 
 class TestTreeSerialization:
     def test_text_and_dict(self):

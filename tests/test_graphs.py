@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from conftest import brute_articulation_points, is_connected_set
+from conftest import _canonical_edges, brute_articulation_points, brute_contractible_pairs, is_connected_set
 from stablespan.corpus import (
     FIXTURES,
     bowtie_graph,
     c4_graph,
+    complete_graph,
     house_graph,
     k4_one_heavy,
     path_graph,
@@ -20,6 +21,7 @@ from stablespan.graphs import (
     MixedSignCertificate,
     WeightedGraph,
     _contractible_pairs_adj,
+    _is_connected,
     biconnected_components,
     find_contractible_pairs,
     flip_blocks,
@@ -127,6 +129,18 @@ class TestNormalizeSigns:
         assert star.eval_complex([point[v] for v in range(g.n)]).is_zero()
         assert all(point[v].im > 0 for v in cert.hpoint_vertices())
 
+    def test_flip_counts_each_listed_set(self):
+        g = bowtie_graph()
+        triangle = frozenset({0, 1, 2})
+        assert flip_blocks(g, (triangle, triangle)) == g
+        flipped = flip_blocks(g, (triangle, frozenset({0, 1})))
+        assert [flipped.weight(*e) for e in ((0, 1), (0, 2), (1, 2), (2, 3))] == [
+            g.weight(0, 1),
+            -g.weight(0, 2),
+            -g.weight(1, 2),
+            g.weight(2, 3),
+        ]
+
     def test_round_trip_random_blocks(self):
         rng = random.Random(2)
         for _ in range(60):
@@ -196,6 +210,60 @@ class TestContractiblePairs:
             for p in find_contractible_pairs(g):
                 for xw in g.neighbors(p.u) - {p.v}:
                     assert g.weight(xw, p.u) == p.ratio * g.weight(xw, p.v)
+
+
+class TestGroupedPairsMatchOracle:
+    """The neighbourhood-grouped pair finder lists exactly the pairs, ratios
+    and bridges of the all-pairs scan, in the same order."""
+
+    @staticmethod
+    def assert_matches_oracle(adj) -> None:
+        assert list(_contractible_pairs_adj(adj)) == brute_contractible_pairs(adj), adj
+
+    def test_every_small_connected_graph_with_weights_one_and_two(self):
+        # Every labelled connected graph on n <= 5 vertices with unit
+        # weights, and one per isomorphism class with every {1, 2} weighting.
+        one, two = F(1), F(2)
+        classes = set()
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                support = [e for i, e in enumerate(pairs) if mask >> i & 1]
+                adj = {v: {} for v in range(n)}
+                for u, v in support:
+                    adj[u][v] = adj[v][u] = one
+                if not _is_connected(adj):
+                    continue
+                self.assert_matches_oracle(adj)
+                shape = (n, _canonical_edges(n, frozenset(support)))
+                if shape in classes:
+                    continue
+                classes.add(shape)
+                for weights in product((one, two), repeat=len(support)):
+                    for (u, v), w in zip(support, weights):
+                        adj[u][v] = adj[v][u] = w
+                    self.assert_matches_oracle(adj)
+        assert len(classes) == 1 + 1 + 2 + 6 + 21
+
+    def test_seeded_weighted_graphs_up_to_twelve_vertices(self):
+        rng = random.Random(29)
+        for i in range(300):
+            n = rng.randint(2, 12)
+            if i % 3 == 0:
+                g = random_constructed(rng, n)
+            elif i % 3 == 1:
+                g = random_connected(rng, n, extra_edge_prob=rng.choice((0.2, 0.6)))
+            else:
+                # A clique with w(u, v) = a_u * a_v has every pair as a closed
+                # twin with ratio a_u / a_v; reweighting one edge leaves
+                # pairs whose closed neighbourhoods agree but whose ratios do
+                # not.
+                a = [rng.randint(1, 3) for _ in range(n)]
+                overrides = {(u, v): a[u] * a[v] for u, v in combinations(range(n), 2)}
+                if rng.random() < 0.7:
+                    overrides[rng.choice(list(overrides))] *= 2
+                g = complete_graph(n, overrides=overrides)
+            self.assert_matches_oracle(g.adjacency())
 
 
 class TestTwinLemma:

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import brute_tree_side, dense_cut_rank
 from stablespan.corpus import (
     FIXTURES,
     cycle_graph,
@@ -107,6 +108,23 @@ class TestBuildDecomposition:
         assert len(results) == len(tree.edges)
         assert all(r.rank == 1 for r in results)
 
+    def test_non_trees_rejected(self):
+        # Leaves 0-1 joined beside a K4 of internal nodes: degrees pass, but
+        # 7 edges on 6 nodes.
+        k4 = [(a, b) for a, b in combinations(range(2, 6), 2)]
+        beside_k4 = DecompositionTree(leaves={0: 0, 1: 1}, edges=((0, 1), *k4))
+        # Leaves 0-1 joined beside a triangle of internal nodes with a leaf
+        # on each: degrees pass and 7 edges on 8 nodes, but two components.
+        beside_triangle = DecompositionTree(
+            leaves={v: v for v in range(5)},
+            edges=((0, 1), (5, 6), (6, 7), (5, 7), (5, 2), (6, 3), (7, 4)),
+        )
+        for tree, g in ((beside_k4, WeightedGraph(2, {(0, 1): F(1)})), (beside_triangle, cycle_graph([1] * 5))):
+            with pytest.raises(LeafMismatch):
+                tree.validate()
+            with pytest.raises(LeafMismatch):
+                cut_ranks(g, tree)
+
     @staticmethod
     def _cherries(tree: DecompositionTree) -> set[frozenset[int]]:
         adj = tree.neighbors()
@@ -117,6 +135,32 @@ class TestBuildDecomposition:
                 if len(leaf_nbrs) == 2:
                     out.add(frozenset(leaf_nbrs))
         return out
+
+
+class TestCutRanksMatchPerEdgeOracle:
+    """One rooted pass and boundary-only ranks give, edge by edge, the side a
+    search of the tree finds and the rank of the full dense block."""
+
+    @staticmethod
+    def assert_matches_oracle(g: WeightedGraph, tree: DecompositionTree) -> None:
+        expected = []
+        for edge in tree.edges:
+            side = brute_tree_side(tree, edge)
+            expected.append((edge, side, dense_cut_rank(g, side)))
+        assert [(r.edge, r.side, r.rank) for r in cut_ranks(g, tree)] == expected
+
+    def test_accepted_fixture_decompositions(self):
+        for g in FIXTURES.values():
+            result = recognize(g)
+            if result.accepted:
+                self.assert_matches_oracle(g, build_rank_decomposition(result.trace))
+
+    def test_every_cubic_tree_on_six_vertices(self):
+        rng = random.Random(41)
+        graphs = [random_connected(rng, 6, signed=True), random_constructed(rng, 6), cycle_graph([1, 2, 3, 1, 2, 3])]
+        for g in graphs:
+            for tree in enumerate_cubic_trees(6):
+                self.assert_matches_oracle(g, tree)
 
 
 class TestEnumeration:

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_distance_hereditary
-from stablespan import formats
+from conftest import brute_contractible_pairs, brute_distance_hereditary
+from stablespan import formats, recognition
 from stablespan.corpus import (
     FIXTURES,
     c4_graph,
+    complete_graph,
     cycle_graph,
     domino_graph,
     gem_graph,
@@ -210,3 +211,38 @@ class TestTheoryProperties:
             v = rng.randrange(g.n)
             c = F(rng.randint(1, 8), rng.randint(1, 5))
             assert recognize(g).accepted == recognize(scale_vertex(g, v, c)).accepted
+
+
+class TestGroupedFinderMatchesOracleLoop:
+    def test_seeded_sample(self, monkeypatch):
+        """Traces and obstructions equal those of the loop driven by the
+        all-pairs scan, on accepted, rejected and signed graphs."""
+        rng = random.Random(37)
+        graphs = []
+        for i in range(240):
+            n = rng.randint(1, 10)
+            if i % 2:
+                graphs.append(random_constructed(rng, n))
+            else:
+                graphs.append(random_connected(rng, n, extra_edge_prob=0.3, signed=i % 4 == 0))
+        grouped = [recognize(g) for g in graphs]
+        assert 60 < sum(r.accepted for r in grouped) < 220
+        monkeypatch.setattr(recognition, "_contractible_pairs_adj", lambda adj: iter(brute_contractible_pairs(adj)))
+        assert [recognize(g) for g in graphs] == grouped
+
+
+class TestScale:
+    def test_complete_graph_150(self):
+        g = complete_graph(150)
+        result = recognize(g)
+        assert result.accepted
+        # The last two vertices form a K2, which goes as a pendant.
+        kinds = [type(s) for s in result.trace.steps]
+        assert kinds == [RemoveTwin] * 148 + [RemovePendant]
+        assert replay_trace(result.trace) == g
+
+    def test_random_constructed_400(self):
+        g = random_constructed(random.Random(400), 400)
+        result = recognize(g)
+        assert result.accepted
+        assert replay_trace(result.trace) == g
