@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -86,41 +87,45 @@ def _obstruction_dict(obstruction) -> dict:
 
 
 def _load_graph(args) -> WeightedGraph:
-    return formats.load_graph_file(args.graph, getattr(args, "drop_zero_edges", False))
+    return formats.load_graph_file(args.graph, args.drop_zero_edges)
+
+
+def _rejected(args, result) -> tuple[int, Report]:
+    """Exit code and report of a graph that `recognize` rejected."""
+    return 1, Report(args.subcommand, args.graph, "rejected", obstruction=_obstruction_dict(result.obstruction))
+
+
+def _checked(report: Report, name: str, ok: bool) -> tuple[int, Report]:
+    """Record one independent check on the report and make it the verdict."""
+    report.checks = [{"name": name, "passed": ok}]
+    report.verdict = "verified" if ok else "mismatch"
+    return (0 if ok else 1), report
 
 
 def _cmd_recognize(args) -> tuple[int, Report]:
-    g = _load_graph(args)
-    result = recognize(g)
-    if result.accepted:
-        trace_data = formats.trace_to_dict(result.trace)
-        if args.trace_out:
-            Path(args.trace_out).write_text(json.dumps(trace_data, indent=2) + "\n", encoding="utf-8")
-        report = Report("recognize", args.graph, "accepted", trace=trace_data)
-        return 0, report
-    report = Report("recognize", args.graph, "rejected", obstruction=_obstruction_dict(result.obstruction))
-    return 1, report
+    result = recognize(_load_graph(args))
+    if not result.accepted:
+        return _rejected(args, result)
+    trace_data = formats.trace_to_dict(result.trace)
+    if args.trace_out:
+        Path(args.trace_out).write_text(json.dumps(trace_data, indent=2) + "\n", encoding="utf-8")
+    return 0, Report("recognize", args.graph, "accepted", trace=trace_data)
 
 
 def _cmd_poly(args) -> tuple[int, Report]:
     g = _load_graph(args)
     poly = edge_span_poly(g) if args.edge else vertex_span_poly(g)
     report = Report("poly", args.graph, "computed", polynomial=poly.to_text())
-    code = 0
     if args.check:
-        ok = matrix_tree_check(g)
-        report.checks = [{"name": "matrix_tree", "passed": ok}]
-        report.verdict = "verified" if ok else "mismatch"
-        code = 0 if ok else 1
-    return code, report
+        return _checked(report, "matrix_tree", matrix_tree_check(g))
+    return 0, report
 
 
 def _cmd_factor(args) -> tuple[int, Report]:
     g = _load_graph(args)
     result = recognize(g)
     if not result.accepted:
-        report = Report("factor", args.graph, "rejected", obstruction=_obstruction_dict(result.obstruction))
-        return 1, report
+        return _rejected(args, result)
     f = factor_from_trace(result.trace)
     data = {
         "constant": formats.format_rational(f.constant),
@@ -128,10 +133,7 @@ def _cmd_factor(args) -> tuple[int, Report]:
     }
     report = Report("factor", args.graph, "factored", factorization=data)
     if args.verify:
-        ok = verify_factorization(g, f)
-        report.checks = [{"name": "brute_force_equality", "passed": ok}]
-        report.verdict = "verified" if ok else "mismatch"
-        return (0 if ok else 1), report
+        return _checked(report, "brute_force_equality", verify_factorization(g, f))
     return 0, report
 
 
@@ -146,42 +148,28 @@ def _cmd_rankdec(args) -> tuple[int, Report]:
         data["width"] = max((r.rank for r in ranks), default=0)
         code, report = 0, Report("rankdec", args.graph, "width_1_decomposition", decomposition=data)
     else:
-        code, report = 1, Report("rankdec", args.graph, "rejected", obstruction=_obstruction_dict(result.obstruction))
+        code, report = _rejected(args, result)
     if args.oracle and 2 <= g.n <= args.cap:
         report.oracle = {"min_rankwidth": exhaustive_min_rankwidth(g, cap=args.cap)}
     return code, report
 
 
 def _cmd_falsify(args) -> tuple[int, Report]:
-    if args.poly:
-        poly = parse_polynomial(args.poly)
-        source = args.poly
+    if args.poly is not None:
+        poly, source = parse_polynomial(args.poly), args.poly
     else:
-        g = formats.load_graph_file(args.graph)
-        poly = vertex_span_poly(g)
-        source = args.graph
+        poly, source = vertex_span_poly(_load_graph(args)), args.graph
     result = falsify(poly, trials=args.trials, seed=args.seed)
-    if isinstance(result, ZeroCertificate):
-        ok = verify_certificate(poly, result)
-        report = Report(
-            "falsify",
-            source,
-            "falsified" if ok else "certificate_failed_verification",
-            certificate=formats.certificate_to_dict(result),
-            polynomial=poly.to_text(),
-        )
-        return 1, report
-    if isinstance(result, RealRootednessViolation):
-        report = Report(
-            "falsify",
-            source,
-            "falsified_weak",
-            violation=formats.violation_to_dict(result),
-            polynomial=poly.to_text(),
-        )
-        return 1, report
     report = Report("falsify", source, "no_counterexample_found", polynomial=poly.to_text())
-    return 0, report
+    if isinstance(result, ZeroCertificate):
+        report.verdict = "falsified" if verify_certificate(poly, result) else "certificate_failed_verification"
+        report.certificate = formats.certificate_to_dict(result)
+    elif isinstance(result, RealRootednessViolation):
+        report.verdict = "falsified_weak"
+        report.violation = formats.violation_to_dict(result)
+    else:
+        return 0, report
+    return 1, report
 
 
 def _cmd_oracle(args) -> tuple[int, Report]:
@@ -260,10 +248,16 @@ def _print_human(report: Report) -> None:
             print(f"  time {name}: {seconds:.3f}s")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later `run`."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the report as JSON")
     common.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
+    zero_edges = argparse.ArgumentParser(add_help=False)
+    zero_edges.add_argument("--drop-zero-edges", action="store_true", help="silently drop edges of weight 0")
+    graph_input = argparse.ArgumentParser(add_help=False, parents=[common, zero_edges])
+    graph_input.add_argument("graph")
 
     parser = argparse.ArgumentParser(
         prog="stablespan",
@@ -279,35 +273,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("recognize", parents=[common], help="decide weighted stability, emit trace or obstruction")
-    p.add_argument("graph")
+    p = sub.add_parser("recognize", parents=[graph_input], help="decide weighted stability, emit trace or obstruction")
     p.add_argument("--trace-out", help="write the reduction trace JSON to this file")
-    p.add_argument("--drop-zero-edges", action="store_true", help="silently drop edges of weight 0")
     p.set_defaults(func=_cmd_recognize)
 
-    p = sub.add_parser("poly", parents=[common], help="spanning polynomial by exhaustive enumeration")
-    p.add_argument("graph")
+    p = sub.add_parser("poly", parents=[graph_input], help="spanning polynomial by exhaustive enumeration")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--vertex", action="store_true", help="vertex polynomial (default)")
     group.add_argument("--edge", action="store_true", help="edge polynomial instead")
     p.add_argument("--check", action="store_true", help="cross-check against the symbolic Kirchhoff cofactor")
-    p.add_argument("--drop-zero-edges", action="store_true")
     p.set_defaults(func=_cmd_poly)
 
-    p = sub.add_parser("factor", parents=[common], help="linear factorization of the vertex polynomial")
-    p.add_argument("graph")
+    p = sub.add_parser("factor", parents=[graph_input], help="linear factorization of the vertex polynomial")
     p.add_argument("--verify", action="store_true", help="compare the product against brute force")
-    p.add_argument("--drop-zero-edges", action="store_true")
     p.set_defaults(func=_cmd_factor)
 
-    p = sub.add_parser("rankdec", parents=[common], help="width-1 rank decomposition from the reduction trace")
-    p.add_argument("graph")
+    p = sub.add_parser("rankdec", parents=[graph_input], help="width-1 rank decomposition from the reduction trace")
     p.add_argument("--oracle", action="store_true", help="also compute the exhaustive minimum rank-width")
     p.add_argument("--cap", type=int, default=7, help="vertex cap for the exhaustive oracle")
-    p.add_argument("--drop-zero-edges", action="store_true")
     p.set_defaults(func=_cmd_rankdec)
 
-    p = sub.add_parser("falsify", parents=[common], help="search for an exact upper-half-plane zero")
+    p = sub.add_parser("falsify", parents=[common, zero_edges], help="search for an exact upper-half-plane zero")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("graph", nargs="?", help="graph file; its vertex polynomial is probed")
     source.add_argument("--poly", help="polynomial expression like '3/2*x1^2*x3 + x2'")
@@ -315,10 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_falsify)
 
-    p = sub.add_parser("oracle", parents=[common], help="forbidden-subgraph distance-hereditary test (weights ignored)")
-    p.add_argument("graph")
+    p = sub.add_parser("oracle", parents=[graph_input], help="forbidden-subgraph distance-hereditary test (weights ignored)")
     p.add_argument("--cap", type=int, default=10)
-    p.add_argument("--drop-zero-edges", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("corpus", parents=[common], help="built-in fixtures and the cross-module self-check")
@@ -338,10 +322,7 @@ def run(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code, report = args.func(args)
-    except StableSpanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (StableSpanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.timings:

@@ -53,10 +53,6 @@ class GaussianRational:
     re: Fraction = _ZERO
     im: Fraction = _ZERO
 
-    @staticmethod
-    def of(re: Fraction | int | str, im: Fraction | int | str = 0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
-
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
 
@@ -109,7 +105,8 @@ class LinearForm:
 
     @staticmethod
     def of(coefficients: dict[int, Fraction | int | str], constant: Fraction | int | str = 0) -> "LinearForm":
-        coeffs = tuple(sorted((v, Fraction(c)) for v, c in coefficients.items() if Fraction(c) != 0))
+        converted = ((v, Fraction(c)) for v, c in coefficients.items())
+        coeffs = tuple(sorted((v, c) for v, c in converted if c != 0))
         if not coeffs:
             raise ValueError("a linear form needs at least one nonzero coefficient")
         return LinearForm(coeffs, Fraction(constant))
@@ -216,14 +213,6 @@ class Polynomial:
             return Polynomial.zero(self.nvars)
         return Polynomial({m: k * c for m, k in self.terms.items()}, self.nvars)
 
-    def __pow__(self, e: int) -> "Polynomial":
-        if e < 0:
-            raise ValueError("negative power")
-        result = Polynomial.constant(1, self.nvars)
-        for _ in range(e):
-            result = result * self
-        return result
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -248,11 +237,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(sum(e for _, e in m) for m in self.terms)
-
-    def degree_in(self, var: int) -> int:
-        if not self.terms:
-            return -1
-        return max((e for m in self.terms for v, e in m if v == var), default=0)
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         if not self.terms:
@@ -537,22 +521,8 @@ def uni_primitive(coeffs: list[Fraction]) -> list[Fraction]:
     return [c / content for c in coeffs]
 
 
-def uni_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of polynomial division over Q."""
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    rem = list(a)
-    db, lead = len(b) - 1, b[-1]
-    while len(rem) - 1 >= db and rem:
-        q = rem[-1] / lead
-        shift = len(rem) - 1 - db
-        for i, c in enumerate(b):
-            rem[shift + i] -= q * c
-        rem = uni_trim(rem)
-    return rem
-
-
-def uni_divexact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def uni_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of polynomial division over Q."""
     if not b:
         raise ZeroDivisionError("univariate division by zero")
     rem = list(a)
@@ -565,16 +535,21 @@ def uni_divexact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         for i, c in enumerate(b):
             rem[shift + i] -= q * c
         rem = uni_trim(rem)
+    return uni_trim(quot), rem
+
+
+def uni_divexact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    quot, rem = uni_divmod(a, b)
     if rem:
         raise ArithmeticError("inexact univariate division")
-    return uni_trim(quot)
+    return quot
 
 
 def uni_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """Primitive gcd with positive leading coefficient."""
     a, b = uni_primitive(a), uni_primitive(b)
     while b:
-        a, b = b, uni_primitive(uni_rem(a, b))
+        a, b = b, uni_primitive(uni_divmod(a, b)[1])
     if a and a[-1] < 0:
         a = [-c for c in a]
     return a
@@ -594,7 +569,7 @@ def sturm_chain(coeffs: list[Fraction]) -> list[list[Fraction]]:
     """Sturm sequence of a square-free polynomial, content-normalized per step."""
     chain = [uni_primitive(coeffs), uni_primitive(uni_derivative(coeffs))]
     while chain[-1]:
-        nxt = uni_primitive([-c for c in uni_rem(chain[-2], chain[-1])])
+        nxt = uni_primitive([-c for c in uni_divmod(chain[-2], chain[-1])[1]])
         chain.append(nxt)
     chain.pop()
     return chain

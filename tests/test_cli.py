@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from stablespan import formats
-from stablespan.cli import Report, run
+from stablespan.cli import Report, build_parser, run
 from stablespan.corpus import FIXTURES, complete_graph
 from stablespan.rankwidth import build_rank_decomposition, tree_width
 from stablespan.recognition import recognize, replay_trace
@@ -164,6 +164,22 @@ class TestReports:
         capsys.readouterr()
         code, _ = capture(capsys, ["recognize", str(path), "--drop-zero-edges"])
         assert code == 0
+
+    def test_falsify_drop_zero_edges(self, tmp_path, capsys):
+        path = tmp_path / "tri0.graph"
+        path.write_text("n 3\n0 1 1\n1 2 1\n0 2 0\n")
+        assert run(["falsify", str(path), "--trials", "50"]) == 2
+        assert "weight 0" in capsys.readouterr().err
+        code, out = capture(capsys, ["falsify", str(path), "--trials", "50", "--drop-zero-edges", "--json"])
+        assert code == 0
+        assert Report.from_json(out).verdict == "no_counterexample_found"
+
+    def test_falsify_empty_poly_is_input_error(self, capsys):
+        assert run(["falsify", "--poly", ""]) == 2
+        assert "empty polynomial" in capsys.readouterr().err
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
 
 class TestCorpus:

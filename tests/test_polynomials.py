@@ -14,8 +14,11 @@ from stablespan.polynomials import (
     parse_polynomial,
     square_free_part,
     uni_derivative,
+    uni_divexact,
+    uni_divmod,
     uni_gcd,
     uni_mul,
+    uni_trim,
 )
 
 F = Fraction
@@ -86,6 +89,14 @@ class TestSubstitution:
     def test_square_scales(self):
         p = x(0, 1) * x(0, 1)
         assert p.substitute_linear(0, LinearForm.of({0: 2})) == p.scale(4)
+
+    def test_linear_form_of_converts_and_drops_zeros(self):
+        form = LinearForm.of({3: "3/2", 0: 2, 1: F(0), 2: "0"}, "1/3")
+        assert form.coefficients == ((0, F(2)), (3, F(3, 2)))
+        assert all(type(c) is F for _, c in form.coefficients)
+        assert form.constant == F(1, 3)
+        with pytest.raises(ValueError):
+            LinearForm.of({0: 0})
 
     def test_identity_substitution(self):
         p = (x(0, 3) + x(2, 3)) * (x(1, 3) + Polynomial.constant(2, 3))
@@ -237,3 +248,26 @@ class TestDivexact:
     def test_inexact_raises(self):
         with pytest.raises(ArithmeticError):
             (x(0, 2) * x(1, 2) + Polynomial.constant(1, 2)).divexact(x(0, 2))
+
+    @given(univariate(), univariate())
+    @settings(max_examples=80, deadline=None)
+    def test_uni_divmod_identity(self, a, b):
+        b = uni_trim(b)
+        if not b:
+            with pytest.raises(ZeroDivisionError):
+                uni_divmod(a, b)
+            return
+        quot, rem = uni_divmod(a, b)
+        assert len(rem) < len(b)
+        product = uni_mul(quot, b)
+        padded = max(len(a), len(product), len(rem))
+        total = [F(0)] * padded
+        for coeffs, sign in ((product, 1), (rem, 1), (a, -1)):
+            for k, c in enumerate(coeffs):
+                total[k] += sign * c
+        assert not uni_trim(total)
+        if rem:
+            with pytest.raises(ArithmeticError):
+                uni_divexact(a, b)
+        else:
+            assert uni_divexact(a, b) == quot
