@@ -39,8 +39,20 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
+# Largest decimal exponent accepted in a rational such as "2.5e-3": Fraction
+# builds 10^|exponent| exactly, so "1e999999999" alone would take minutes and
+# hundreds of MB.
+MAX_DECIMAL_EXPONENT = 1000
+
+_EXPONENT_RE = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def parse_rational(text: str) -> Fraction:
     try:
+        if isinstance(text, str) and ("e" in text or "E" in text):
+            exponent = _EXPONENT_RE.search(text)
+            if exponent and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
+                raise ParseError(f"bad rational {text!r}: decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}")
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from exc

@@ -51,7 +51,8 @@ class WeightedGraph:
             key = edge_key(u, v)
             if key in clean:
                 raise InvalidGraph(f"parallel edge {key}")
-            w = Fraction(w)
+            if not isinstance(w, Fraction):
+                w = Fraction(w)
             if w == 0:
                 raise ZeroWeightEdge(f"edge {key} has weight 0")
             clean[key] = w

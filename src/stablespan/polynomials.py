@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, VariableMismatch
+from .errors import ParseError, SizeCapExceeded, VariableMismatch
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -429,6 +429,12 @@ class Polynomial:
         return " ".join(parts)
 
 
+# Largest exponent of one variable in a parsed polynomial.  The falsifier
+# restricts a polynomial to a dense univariate coefficient list and runs Sturm
+# chains on it, so the degree sets both memory and time; a spanning
+# polynomial of an n-vertex graph has degree at most n - 2 in each variable.
+MAX_EXPONENT = 64
+
 _TERM_RE = re.compile(r"^(?P<coef>[0-9]+(?:/[0-9]+)?)?(?P<vars>(?:\*?x[0-9]+(?:\^[0-9]+)?)*)$")
 _VAR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
 
@@ -464,10 +470,15 @@ def parse_polynomial(text: str, nvars: int | None = None) -> Polynomial:
             raise ParseError(f"zero denominator in term {chunk!r}") from exc
         exps: dict[int, int] = {}
         for vm in _VAR_RE.finditer(m.group("vars") or ""):
-            idx = int(vm.group(1)) - 1
+            try:
+                idx, e = int(vm.group(1)) - 1, int(vm.group(2) or 1)
+            except ValueError as exc:
+                raise ParseError("number too long in polynomial expression") from exc
             if idx < 0:
                 raise ParseError("variables are numbered from x1")
-            exps[idx] = exps.get(idx, 0) + int(vm.group(2) or 1)
+            exps[idx] = exps.get(idx, 0) + e
+            if exps[idx] > MAX_EXPONENT:
+                raise SizeCapExceeded(f"exponent of x{idx + 1} is above the cap of {MAX_EXPONENT}")
         result = result + Polynomial.monomial(coeff * sgn, exps)
     if nvars is not None:
         if result.nvars > nvars:

@@ -1,15 +1,20 @@
 """Cut-rank over the rationals and rank-width-1 decompositions.
 
 The cut-rank of a vertex set A is the rank of the weighted adjacency
-submatrix between A and its complement, computed exactly over Q.  Accepted
-graphs admit a decomposition tree all of whose edge cuts have rank 1; the
-tree is built by structural induction along the construction trace (each
-added vertex becomes a cherry beside the vertex it came from).  For small n
-an exhaustive enumerator of all cubic trees provides the converse oracle.
+submatrix between A and its complement, computed exactly over Q by
+fraction-free elimination on integer rows.  Accepted graphs admit a
+decomposition tree all of whose edge cuts have rank 1; the tree is built by
+structural induction along the construction trace (each added vertex
+becomes a cherry beside the vertex it came from).  For small n an
+exhaustive enumerator of all (2n-5)!! cubic trees provides the converse
+oracle.  It ranks each of the 2^(n-1) - 1 vertex bipartitions at most once
+per call, but the trees themselves are still exponentially many, so it is
+capped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -24,6 +29,8 @@ from .recognition import (
 )
 
 TreeEdge = tuple[int, int]
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -86,29 +93,41 @@ def _cut_rank(adj: Adjacency, a: set[int] | frozenset[int]) -> int:
     in A.  Every row or column left out is zero, so the rank is unchanged."""
     rows = [u for u in a if not adj[u].keys() <= a]
     cols = sorted({x for u in rows for x in adj[u] if x not in a})
-    return _rank([[adj[u].get(x, Fraction(0)) for x in cols] for u in rows])
+    return _rank([[adj[u].get(x, _ZERO) for x in cols] for u in rows])
 
 
 def _rank(matrix: list[list[Fraction]]) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    rows = [row[:] for row in matrix]
-    ncols = len(rows[0])
+    """Rank over Q by fraction-free elimination.
+
+    Each row is scaled to integers by the lcm of its denominators.  A pivot
+    row's first nonzero column is cleared from every other row by cross
+    multiplication, and each changed row is divided by the gcd of its
+    entries, so entries stay small; zero rows drop out.
+    """
+    rows = []
+    for row in matrix:
+        scale = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (scale // x.denominator) for x in row]
+        if any(ints):
+            rows.append(ints)
     rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] * inv
-                for j in range(col, ncols):
-                    rows[r][j] -= factor * rows[rank][j]
+    while rows:
+        pivot = rows.pop()
+        col = next(j for j, x in enumerate(pivot) if x)
+        p = pivot[col]
         rank += 1
-        if rank == len(rows):
-            break
+        rest = []
+        for row in rows:
+            f = row[col]
+            if f:
+                row = [p * x - f * y for x, y in zip(row, pivot)]
+                common = math.gcd(*row)
+                if not common:
+                    continue
+                if common > 1:
+                    row = [x // common for x in row]
+            rest.append(row)
+        rows = rest
     return rank
 
 
@@ -119,14 +138,21 @@ def tree_width(g: WeightedGraph, t: DecompositionTree) -> int:
 
 def cut_ranks(g: WeightedGraph, t: DecompositionTree) -> list[CutRankResult]:
     """Cut rank of every tree edge, with the graph vertices on the side of
-    its first endpoint.
+    its first endpoint.  Each rank is an elimination on the boundary block of
+    its cut (`_cut_rank`), which is small when the graph is sparse."""
+    adj = g.adjacency()
+    return [CutRankResult(edge, side, _cut_rank(adj, side)) for edge, side in _tree_sides(g, t)]
+
+
+def _tree_sides(g: WeightedGraph, t: DecompositionTree) -> list[tuple[TreeEdge, frozenset[int]]]:
+    """Every tree edge with the graph vertices on the side of its first
+    endpoint, after checking that `t` is a decomposition tree of `g`.
 
     The tree is rooted once, and one pass from the deepest nodes up collects
     the graph vertices below every node.  The side of edge (a, b) is then
     below[a] when b is the parent of a, and V - below[b] otherwise.  The
     sides take O(n*h) for a tree of height h, against O(n) per edge for a
-    search of the tree; each rank is an elimination on the boundary block of
-    its cut (`_cut_rank`), which is small when the graph is sparse.
+    search of the tree.
     """
     if sorted(t.leaves.values()) != list(range(g.n)):
         raise LeafMismatch("tree leaves must biject to the graph vertices")
@@ -148,13 +174,11 @@ def cut_ranks(g: WeightedGraph, t: DecompositionTree) -> list[CutRankResult]:
                 vertices |= below[u]
         below[node] = frozenset(vertices)
     everything = below[root]
-    adj = g.adjacency()
-    out = []
+    sides = []
     for edge in t.edges:
         a, b = edge
-        side = below[a] if parent[a] == b else everything - below[b]
-        out.append(CutRankResult(edge, side, _cut_rank(adj, side)))
-    return out
+        sides.append((edge, below[a] if parent[a] == b else everything - below[b]))
+    return sides
 
 
 def build_rank_decomposition(trace: ReductionTrace) -> DecompositionTree:
@@ -239,10 +263,24 @@ def enumerate_cubic_trees(n: int) -> Iterator[DecompositionTree]:
 
 
 def exhaustive_min_rankwidth(g: WeightedGraph, cap: int = 7) -> int:
-    """Minimum width over every cubic tree; exhaustive, so capped at small n."""
+    """Minimum width over every cubic tree; exhaustive, so capped at small n.
+
+    A cut and its complement have the same rank, so each of the
+    2^(n-1) - 1 bipartitions is ranked once, keyed by its side without
+    vertex 0, however many of the (2n-5)!! trees contain it.
+    """
     if g.n < 2:
         raise InvalidSubset("rank-width needs at least two vertices")
     if g.n > cap:
         raise SizeCapExceeded(f"exhaustive rank-width capped at {cap} vertices, got {g.n}")
-    return min(tree_width(g, t) for t in enumerate_cubic_trees(g.n))
+    adj = g.adjacency()
+    everything = frozenset(range(g.n))
+    ranks: dict[frozenset[int], int] = {}
 
+    def rank(side: frozenset[int]) -> int:
+        key = everything - side if 0 in side else side
+        if key not in ranks:
+            ranks[key] = _cut_rank(adj, key)
+        return ranks[key]
+
+    return min(max(rank(side) for _, side in _tree_sides(g, t)) for t in enumerate_cubic_trees(g.n))

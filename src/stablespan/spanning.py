@@ -5,19 +5,24 @@ trees T, the tree's weight product times prod_v x_v^(deg_T(v)-1).  The edge
 polynomial sums the products of edge variables instead.  Enumeration is by
 recursive edge inclusion/exclusion with connectivity pruning: simple, exact,
 and comfortably fast at desk scale (n around 10).  An independent weighted
-Kirchhoff cofactor computed by fraction-free elimination over the polynomial
-ring cross-checks the enumeration.
+Kirchhoff cofactor cross-checks the enumeration.  It is computed by
+fraction-free (Bareiss) elimination over Z[x]: the weights are scaled by the
+lcm D of their denominators and the result divided by D^(n-1), coefficients
+are Python ints, and each monomial is one int with a field per variable.
+The cofactor still has exponentially many terms in n, which is why its
+callers cap n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .errors import DisconnectedGraph, InvalidGraph
 from .graphs import WeightedGraph
-from .polynomials import Polynomial
+from .polynomials import Monomial, Polynomial
 
 
 @dataclass(frozen=True)
@@ -172,34 +177,109 @@ def spanning_tree_count(g: WeightedGraph) -> int:
     return int(det)
 
 
-def _bareiss_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
-    """Fraction-free determinant over the polynomial ring.
+class _Packing:
+    """Monomials in `nvars` variables, each exponent at most `top`, packed
+    into one int: x_0 in the most significant field and a guard bit above
+    each field.  A product of monomials is an integer sum, lexicographic
+    order is integer order, and m divides m' exactly when m' - m sets no
+    guard bit (a field that would go negative borrows from its guard)."""
 
-    Every division in the Bareiss recurrence is exact (the intermediate
-    entries are minors of the row-permuted input), so no rational functions
-    ever appear.
+    def __init__(self, nvars: int, top: int):
+        width = top.bit_length() + 1
+        self.shifts = [(nvars - 1 - v) * width for v in range(nvars)]
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+        self.field = (1 << (width - 1)) - 1
+
+    def pack(self, m: Monomial) -> int:
+        return sum(e << self.shifts[v] for v, e in m)
+
+    def unpack(self, key: int) -> Monomial:
+        exps = ((v, key >> s & self.field) for v, s in enumerate(self.shifts))
+        return tuple((v, e) for v, e in exps if e)
+
+
+def _bareiss_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
+    """Fraction-free determinant over Z[x] on packed monomials, returned
+    over Q.
+
+    Every coefficient is scaled by D, the lcm of the coefficient
+    denominators, so the determinant scales by exactly D^size and every entry
+    and every Bareiss division stays in Z[x] (the intermediate entries are
+    minors of the row-permuted input).  An exponent in a minor is at most the
+    sum over the rows of each row's largest exponent, so twice that sum
+    bounds the fields for the product of two minors.
     """
     size = len(matrix)
     if size == 0:
         return Polynomial.constant(1)
-    a = [row[:] for row in matrix]
+    nvars = max(p.nvars for row in matrix for p in row)
+    scale = math.lcm(*(c.denominator for row in matrix for p in row for c in p.terms.values()))
+    row_tops = (max((e for p in row for m in p.terms for _, e in m), default=0) for row in matrix)
+    packing = _Packing(nvars, 2 * sum(row_tops))
+    a = [
+        [{packing.pack(m): c.numerator * (scale // c.denominator) for m, c in p.terms.items()} for p in row]
+        for row in matrix
+    ]
     sign = 1
-    prev = Polynomial.constant(1)
+    prev: dict[int, int] = {0: 1}
     for k in range(size - 1):
-        if a[k][k].is_zero():
-            swap = next((r for r in range(k + 1, size) if not a[r][k].is_zero()), None)
+        if not a[k][k]:
+            swap = next((r for r in range(k + 1, size) if a[r][k]), None)
             if swap is None:
                 return Polynomial.zero()
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
+        pivot = a[k][k]
         for i in range(k + 1, size):
+            row, lead = a[i], a[i][k]
             for j in range(k + 1, size):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.divexact(prev)
-            a[i][k] = Polynomial.zero()
-        prev = a[k][k]
+                row[j] = _divexact(_mul_sub(pivot, row[j], lead, a[k][j]), prev, packing.guard)
+            row[k] = {}
+        prev = pivot
+    denominator = scale**size
     det = a[size - 1][size - 1]
-    return det.scale(-1) if sign < 0 else det
+    return Polynomial({packing.unpack(m): Fraction(sign * c, denominator) for m, c in det.items()}, nvars)
+
+
+def _mul_sub(a: dict[int, int], b: dict[int, int], c: dict[int, int], d: dict[int, int]) -> dict[int, int]:
+    """a*b - c*d on packed integer polynomials."""
+    out: dict[int, int] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = ma + mb
+            out[m] = out.get(m, 0) + ca * cb
+    for mc, cc in c.items():
+        for md, cd in d.items():
+            m = mc + md
+            out[m] = out.get(m, 0) - cc * cd
+    return {m: x for m, x in out.items() if x}
+
+
+def _divexact(rem: dict[int, int], den: dict[int, int], guard: int) -> dict[int, int]:
+    """Exact quotient rem / den over Z[x], consuming `rem`; leading terms
+    come off in lexicographic order.  Raises ArithmeticError when den does
+    not divide rem."""
+    if den == {0: 1}:
+        return rem
+    lead = max(den)
+    lc = den[lead]
+    tail = [(m - lead, c) for m, c in den.items() if m != lead]
+    quotient: dict[int, int] = {}
+    while rem:
+        m = max(rem)
+        q, r = divmod(rem.pop(m), lc)
+        qm = m - lead
+        if r or qm & guard:
+            raise ArithmeticError("inexact polynomial division")
+        quotient[qm] = q
+        for dm, dc in tail:
+            key = m + dm
+            x = rem.get(key, 0) - q * dc
+            if x:
+                rem[key] = x
+            else:
+                rem.pop(key, None)
+    return quotient
 
 
 def weighted_kirchhoff_cofactor(g: WeightedGraph) -> Polynomial:

@@ -5,7 +5,8 @@ checks: articulation points by vertex deletion, distance-hereditariness by
 the literal distance-preservation definition, trees by Prufer sequences,
 cographs by union/join composition, contractible pairs by testing every
 vertex pair, tree sides by a search per edge, cut ranks on the full dense
-block.
+block by elimination over Fraction, and determinants by Bareiss elimination
+over the `Polynomial` ring.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from stablespan.graphs import ContractiblePair, WeightedGraph
-from stablespan.rankwidth import DecompositionTree, _rank
+from stablespan.polynomials import Polynomial
+from stablespan.rankwidth import DecompositionTree
 
 
 def bfs_distances(adj: dict[int, set[int]], start: int) -> dict[int, int]:
@@ -248,4 +250,68 @@ def dense_cut_rank(g: WeightedGraph, a: frozenset[int]) -> int:
     """Rank of the full |A| x |V-A| weighted adjacency block."""
     rows = sorted(a)
     cols = sorted(set(range(g.n)) - a)
-    return _rank([[g.edges.get((min(u, v), max(u, v)), Fraction(0)) for v in cols] for u in rows])
+    return fraction_rank([[g.edges.get((min(u, v), max(u, v)), Fraction(0)) for v in cols] for u in rows])
+
+
+def fraction_rank(matrix: list[list[Fraction]]) -> int:
+    """Rank by Gaussian elimination over Fraction."""
+    if not matrix or not matrix[0]:
+        return 0
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    ncols = len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col] != 0:
+                factor = rows[r][col] * inv
+                for j in range(col, ncols):
+                    rows[r][j] -= factor * rows[rank][j]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def symbolic_laplacian(g: WeightedGraph) -> list[list[Polynomial]]:
+    """Laplacian with off-diagonal entries -w(uv)*x_u*x_v, last row and
+    column deleted."""
+    size = g.n - 1
+    lap = [[Polynomial.zero(g.n) for _ in range(size)] for _ in range(size)]
+    for (u, v), w in g.edges.items():
+        term = Polynomial.monomial(w, {u: 1, v: 1}, g.n)
+        for a, b in ((u, v), (v, u)):
+            if a < size:
+                lap[a][a] = lap[a][a] + term
+                if b < size:
+                    lap[a][b] = lap[a][b] - term
+    return lap
+
+
+def polynomial_bareiss(matrix: list[list[Polynomial]]) -> Polynomial:
+    """Determinant by Bareiss elimination in the `Polynomial` ring, with
+    `Polynomial.divexact` for the exact divisions."""
+    size = len(matrix)
+    if size == 0:
+        return Polynomial.constant(1)
+    a = [row[:] for row in matrix]
+    sign = 1
+    prev = Polynomial.constant(1)
+    for k in range(size - 1):
+        if a[k][k].is_zero():
+            swap = next((r for r in range(k + 1, size) if not a[r][k].is_zero()), None)
+            if swap is None:
+                return Polynomial.zero()
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).divexact(prev)
+            a[i][k] = Polynomial.zero()
+        prev = a[k][k]
+    det = a[size - 1][size - 1]
+    return det.scale(-1) if sign < 0 else det

@@ -181,6 +181,28 @@ class TestReports:
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
 
+    def test_huge_poly_exponent_is_input_error(self, capsys):
+        # Uncapped, the falsifier's univariate restriction alone is a list of
+        # 10^8 coefficients.
+        assert run(["falsify", "--poly", "x1^100000000"]) == 2
+        assert "cap of 64" in capsys.readouterr().err
+        assert run(["falsify", "--poly", "x1^40*x1^25 + 1"]) == 2
+        assert "cap of 64" in capsys.readouterr().err
+        assert run(["falsify", "--poly", "x" + "9" * 5000]) == 2
+        assert "number too long" in capsys.readouterr().err
+        assert run(["falsify", "--poly", "x1^64 + x2", "--trials", "5"]) in (0, 1)
+
+    def test_huge_decimal_exponent_is_input_error(self, tmp_path, capsys):
+        # Uncapped, Fraction builds 10^999999999 exactly.
+        for weight in ("1e999999999", "1E-1_001", "2.5e+99999"):
+            path = tmp_path / "huge.graph"
+            path.write_text(f"n 2\na b {weight}\n")
+            assert run(["recognize", str(path)]) == 2
+            assert "decimal exponent" in capsys.readouterr().err
+        path.write_text("n 3\na b 1e1000\nb c 2.5E-3\n")
+        code, out = capture(capsys, ["recognize", str(path), "--json"])
+        assert code == 0 and Report.from_json(out).verdict == "accepted"
+
 
 class TestCorpus:
     def test_list(self, capsys):

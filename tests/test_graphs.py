@@ -57,6 +57,13 @@ class TestWeightedGraph:
         b = WeightedGraph(2, {(0, 1): F(1)})
         assert a == b
 
+    def test_weights_become_fractions_once(self):
+        w = F(3, 2)
+        g = WeightedGraph(3, {(0, 1): w, (1, 2): 2, (0, 2): "5/3"})
+        assert g.edges[(0, 1)] is w
+        assert g.edges == {(0, 1): F(3, 2), (1, 2): F(2), (0, 2): F(5, 3)}
+        assert all(type(x) is F for x in g.edges.values())
+
 
 class TestBiconnectedComponents:
     def test_two_edge_path(self):

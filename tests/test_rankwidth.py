@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import brute_tree_side, dense_cut_rank
+from conftest import brute_tree_side, dense_cut_rank, fraction_rank
 from stablespan.corpus import (
     FIXTURES,
     cycle_graph,
@@ -18,6 +18,7 @@ from stablespan.errors import InvalidSubset, LeafMismatch, SizeCapExceeded
 from stablespan.graphs import WeightedGraph, find_contractible_pairs
 from stablespan.rankwidth import (
     DecompositionTree,
+    _rank,
     build_rank_decomposition,
     cut_rank,
     cut_ranks,
@@ -201,3 +202,67 @@ class TestMinRankwidth:
         tree = next(enumerate_cubic_trees(5))
         with pytest.raises(LeafMismatch):
             tree_width(g, tree)
+
+
+class TestExhaustiveMatchesEveryTree:
+    """The oracle, which ranks each bipartition once, against the minimum of
+    tree_width over every cubic tree."""
+
+    def test_every_connected_unit_graph_up_to_five_vertices(self):
+        checked = 0
+        for n in range(2, 6):
+            trees = list(enumerate_cubic_trees(n))
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = WeightedGraph(n, {e: F(1) for i, e in enumerate(pairs) if mask >> i & 1})
+                if g.is_connected():
+                    assert exhaustive_min_rankwidth(g) == min(tree_width(g, t) for t in trees), g
+                    checked += 1
+        assert checked == 1 + 4 + 38 + 728
+
+    def test_seeded_weighted_graphs_on_six_vertices(self):
+        rng = random.Random(47)
+        trees = list(enumerate_cubic_trees(6))
+        widths = set()
+        for i in range(12):
+            if i % 3 == 0:
+                g = random_constructed(rng, 6)
+            else:
+                g = random_connected(rng, 6, extra_edge_prob=rng.choice((0.3, 0.6, 0.9)), signed=i % 2 == 0)
+            width = exhaustive_min_rankwidth(g)
+            assert width == min(tree_width(g, t) for t in trees), g
+            widths.add(width)
+        assert widths == {1, 2}
+
+
+class TestIntegerRank:
+    """The fraction-free rank kernel against elimination over Fraction."""
+
+    def test_random_rational_matrices(self):
+        rng = random.Random(53)
+        full = deficient = 0
+        for i in range(400):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            if i % 2:
+                # A product of rows x k and k x cols factors has rank at most k.
+                k = rng.randint(1, min(rows, cols))
+                left = [[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(k)] for _ in range(rows)]
+                right = [[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(cols)] for _ in range(k)]
+                m = [[sum((a * b for a, b in zip(row, col)), F(0)) for col in zip(*right)] for row in left]
+            else:
+                m = [
+                    [F(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.7 else F(0) for _ in range(cols)]
+                    for _ in range(rows)
+                ]
+            expected = fraction_rank(m)
+            assert _rank(m) == expected, m
+            full += expected == min(rows, cols)
+            deficient += expected < min(rows, cols)
+        assert full > 100 and deficient > 100
+
+    def test_large_entries_and_full_rank(self):
+        # A Hilbert matrix is full rank with fast-growing denominators.
+        for size in range(1, 9):
+            hilbert = [[F(1, i + j + 1) for j in range(size)] for i in range(size)]
+            assert _rank(hilbert) == size
+            assert _rank(hilbert + [[2 * x for x in hilbert[0]]]) == size

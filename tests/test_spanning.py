@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import polynomial_bareiss, symbolic_laplacian
 from stablespan.corpus import (
     FIXTURES,
     bowtie_graph,
@@ -17,6 +18,9 @@ from stablespan.errors import DisconnectedGraph
 from stablespan.graphs import WeightedGraph, scale_vertex, star_polynomial
 from stablespan.polynomials import LinearForm, Polynomial
 from stablespan.spanning import (
+    _bareiss_determinant,
+    _divexact,
+    _Packing,
     edge_span_poly,
     edge_variable_order,
     enumerate_spanning_trees,
@@ -171,3 +175,88 @@ class TestStructuralIdentities:
             scaled = scale_vertex(g, v, c)
             derived = vertex_span_poly(g).substitute_linear(v, LinearForm.of({v: c})).scale(c)
             assert vertex_span_poly(scaled) == derived
+
+
+class TestIntegerBareiss:
+    """The packed-integer determinant against Bareiss in the Polynomial ring."""
+
+    def test_fixtures(self):
+        for g in FIXTURES.values():
+            if g.n >= 2:
+                assert weighted_kirchhoff_cofactor(g) == polynomial_bareiss(symbolic_laplacian(g)), g
+
+    def test_seeded_signed_rational_graphs(self):
+        rng = random.Random(41)
+        with_fractions = 0
+        for i in range(40):
+            n = rng.randint(2, 7)
+            g = random_connected(rng, n, extra_edge_prob=0.15 if n == 7 else 0.4, signed=i % 2 == 0)
+            with_fractions += any(w.denominator > 1 for w in g.edges.values())
+            assert weighted_kirchhoff_cofactor(g) == polynomial_bareiss(symbolic_laplacian(g)), g
+        assert with_fractions >= 20
+
+    @staticmethod
+    def random_matrix(rng, size, nvars, zero_prob):
+        def entry():
+            terms = {}
+            if rng.random() >= zero_prob:
+                for _ in range(rng.randint(1, 3)):
+                    mono = tuple((v, rng.randint(1, 2)) for v in range(nvars) if rng.random() < 0.5)
+                    terms[mono] = F(rng.randint(-5, 5), rng.randint(1, 4))
+            return Polynomial(terms, nvars)
+
+        return [[entry() for _ in range(size)] for _ in range(size)]
+
+    def test_random_polynomial_matrices(self):
+        rng = random.Random(43)
+        for _ in range(150):
+            m = self.random_matrix(rng, rng.randint(1, 4), rng.randint(1, 3), zero_prob=0.4)
+            assert _bareiss_determinant(m) == polynomial_bareiss(m), m
+
+    def test_row_swap(self):
+        # a[0][0] = 0 forces the swap; the result is -x1 * (x2*x3 - 1/2).
+        x1, x2, x3 = (x(v, 3) for v in range(3))
+        one, zero = Polynomial.constant(1, 3), Polynomial.zero(3)
+        m = [[zero, x1, one], [x2, zero, one.scale(F(1, 2))], [one, zero, x3]]
+        expected = polynomial_bareiss(m)
+        assert expected == -(x1 * (x2 * x3 - one.scale(F(1, 2))))
+        assert _bareiss_determinant(m) == expected
+        swapped = [m[1], m[0], m[2]]
+        assert _bareiss_determinant(swapped) == -expected
+
+    def test_zero_determinants(self):
+        x1, x2 = x(0, 2), x(1, 2)
+        zero = Polynomial.zero(2)
+        # No pivot in the first column: the early exit.
+        assert _bareiss_determinant([[zero, x1, x2], [zero, x2, x1], [zero, x1, x1]]).is_zero()
+        # Proportional rows: zero only after elimination.
+        half = x1.scale(F(1, 2))
+        m = [[x1, x2, x1 + x2], [half, x2.scale(F(1, 2)), (x1 + x2).scale(F(1, 2))], [x2, x1, half]]
+        assert polynomial_bareiss(m).is_zero()
+        assert _bareiss_determinant(m).is_zero()
+
+    def test_divexact_divisibility_uses_guard_bits(self):
+        packing = _Packing(3, 4)
+        x0, x1, x2 = (packing.pack(((v, 1),)) for v in range(3))
+        # x0 > x1 as integers, but x1 does not divide x0: the x1 field borrows.
+        assert x0 > x1
+        with pytest.raises(ArithmeticError):
+            _divexact({x0: 1}, {x1: 1}, packing.guard)
+        with pytest.raises(ArithmeticError):
+            _divexact({x0 + x1: 1, x2: 1}, {x2: 1}, packing.guard)
+        with pytest.raises(ArithmeticError):
+            _divexact({x0: 3}, {x0: 2}, packing.guard)
+        # (x0^2 + x1*x2) * (x0 - 2*x2) / (x0 - 2*x2)
+        a = {2 * x0: 1, x1 + x2: 1}
+        b = {x0: 1, x2: -2}
+        product = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                product[ma + mb] = product.get(ma + mb, 0) + ca * cb
+        assert _divexact(product, b, packing.guard) == a
+
+    def test_packing_round_trip(self):
+        packing = _Packing(4, 6)
+        mono = ((0, 6), (2, 1), (3, 5))
+        assert packing.unpack(packing.pack(mono)) == mono
+        assert packing.pack(((0, 1),)) > packing.pack(((1, 6), (2, 6), (3, 6)))
