@@ -129,7 +129,7 @@ def _cmd_factor(args) -> tuple[int, Report]:
     f = factor_from_trace(result.trace)
     data = {
         "constant": formats.format_rational(f.constant),
-        "factors": [form.to_polynomial(g.n).to_text() for form in f.factors],
+        "factors": [form.to_text() for form in f.factors],
     }
     report = Report("factor", args.graph, "factored", factorization=data)
     if args.verify:

@@ -3,8 +3,11 @@
 Replaying a reduction trace in construction order turns the copy, gluing,
 and scaling identities into an incremental factorization: every vertex added
 after the second contributes exactly one linear factor, substitutions keep
-earlier factors linear, and scalings/sign flips only touch the constant.
-The result multiplies out, term by term, to the brute-force polynomial.
+earlier factors linear, scalings rescale one variable and the constant, and
+sign flips only touch the constant.  The result multiplies out, term by
+term, to the brute-force polynomial.  Each substitution touches only the
+factors that hold its variable, so building the factorization costs time
+linear in its size: O(n) for a tree, O(n^2) for a complete graph.
 """
 
 from __future__ import annotations
@@ -56,33 +59,49 @@ def factor_from_trace(trace: ReductionTrace) -> LinearFactorization:
         sum_t w(t,kept)*x_t + p*(x_kept + x_removed) over prior neighbors t;
       * scaling-by-c step reversed: constant /= c and x_v -> x_v/c;
       * sign flip of block B: constant *= (-1)^(|B|-1).
+
+    Factors are kept as coefficient dicts with an index from each variable
+    to the factors that contain it, so a substitution rewrites only those
+    factors: x_removed is new, so it just takes x_kept's coefficient.  Each
+    `LinearForm` is built once, at the end.  The cost is linear in the size
+    of the result, not in the number of factors times the number of steps.
     """
     constant = Fraction(1)
-    factors: list[LinearForm] = []
+    factors: list[dict[int, Fraction]] = []
+    holders: dict[int, list[int]] = {}
+
+    def append(coeffs: dict[int, Fraction]) -> None:
+        for v in coeffs:
+            holders.setdefault(v, []).append(len(factors))
+        factors.append(coeffs)
+
     for step, adj in construction_walk(trace):
         if isinstance(step, RemovePendant):
             constant *= step.weight
             if len(adj) >= 2:
-                factors.append(LinearForm.of({step.attach: Fraction(1)}))
+                append({step.attach: Fraction(1)})
         elif isinstance(step, RemoveTwin):
             if len(adj) == 1:
                 constant *= step.bridge
                 continue
-            pair_form = LinearForm.of({step.kept: Fraction(1), step.removed: Fraction(1)})
-            factors = [f.substitute(step.kept, pair_form) for f in factors]
-            coeffs = dict(adj[step.kept])
+            kept, removed = step.kept, step.removed
+            held = holders.get(kept, [])
+            for i in held:
+                factors[i][removed] = factors[i][kept]
+            holders[removed] = list(held)
+            coeffs = dict(adj[kept])
             if step.bridge != 0:
-                coeffs[step.kept] = coeffs.get(step.kept, Fraction(0)) + step.bridge
-                coeffs[step.removed] = coeffs.get(step.removed, Fraction(0)) + step.bridge
-            factors.append(LinearForm.of(coeffs))
+                coeffs[kept] = coeffs[removed] = step.bridge
+            append(coeffs)
         elif isinstance(step, ScaleVertex):
             constant /= step.c
-            inv_form = LinearForm.of({step.v: 1 / step.c})
-            factors = [f.substitute(step.v, inv_form) for f in factors]
+            inv = 1 / step.c
+            for i in holders.get(step.v, []):
+                factors[i][step.v] *= inv
         elif isinstance(step, SignFlipBlock):
             if (len(step.block) - 1) % 2 == 1:
                 constant = -constant
-    return LinearFactorization(constant, tuple(factors))
+    return LinearFactorization(constant, tuple(LinearForm(tuple(sorted(f.items()))) for f in factors))
 
 
 def verify_factorization(g: WeightedGraph, f: LinearFactorization) -> bool:

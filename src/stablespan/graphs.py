@@ -7,11 +7,12 @@ are `fractions.Fraction` end to end.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from itertools import combinations
+from random import Random
 
 from .errors import DisconnectedGraph, EmptySet, InvalidGraph, ZeroWeightEdge
 from .polynomials import GaussianRational, Polynomial
@@ -183,43 +184,177 @@ def _blocks_and_articulation(adj: Adjacency) -> tuple[list[frozenset[int]], set[
     return blocks, articulation
 
 
-def _contractible_pairs_adj(adj: Adjacency) -> Iterator["ContractiblePair"]:
-    """Contractible pairs of a positive adjacency, lazily, in (u, v) order;
-    see `find_contractible_pairs`."""
-    ids = sorted(adj)
-    # Neighbourhoods are keyed as sorted tuples, a fraction of the memory of
-    # frozensets.  One dict holds both kinds of group: N(u) = N[w] would give
-    # w in N(u), so u in N(w), a subset of N[w] = N(u), and u would
-    # neighbour itself.
-    groups: dict[tuple[int, ...], list[int]] = {}
-    keys: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for u in ids:
-        nbrs = sorted(adj[u])
-        open_key = tuple(nbrs)
-        insort(nbrs, u)
-        keys[u] = (open_key, tuple(nbrs))
-        for key in keys[u]:
-            groups.setdefault(key, []).append(u)
-    for u in ids:
-        # At most one of u's groups has other members: an open twin v and a
-        # closed twin w would give w in N(u) = N(v), so v in N[w] = N[u],
-        # and v would neighbour u.  Groups list their members in order.
-        later = [v for key in keys[u] for v in groups[key][bisect_right(groups[key], u) :]]
-        for v in later:
-            ratio = None
-            for x in adj[u]:
-                if x == v:
-                    continue
-                r = adj[x][u] / adj[x][v]
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
+def _pair_ratio(adj: Adjacency, u: int, v: int) -> Fraction | tuple[int, ...]:
+    """w(x, u)/w(x, v) when u and v are contractible: N(u) - v = N(v) - u
+    and the ratio is one positive value at every common neighbour x (1 when
+    there is none).
+
+    Otherwise a witness: vertices that keep the pair invalid for as long as
+    they all remain.  That is a neighbour of u that v lacks, or two common
+    neighbours with different ratios, or one with a negative ratio; the
+    witness is empty when the degrees differ, which is cheap to test again.
+    """
+    au, av = adj[u], adj[v]
+    # Adjacency is symmetric, so v in N(u) exactly when u in N(v); equal
+    # degrees and N(u) - v inside N(v) then give N(u) - v = N(v) - u.
+    if len(au) != len(av):
+        return ()
+    # The ratio is kept as an unreduced num/den and compared by cross
+    # multiplication, which is much cheaper than Fraction division.
+    first = num = den = 0
+    for x, w in au.items():
+        if x == v:
+            continue
+        wv = av.get(x)
+        if wv is None:
+            return (x,)
+        a = w.numerator * wv.denominator
+        b = w.denominator * wv.numerator
+        if not den:
+            first, num, den = x, a, b
+        elif a * den != b * num:
+            return (first, x)
+    if not den:
+        return Fraction(1)
+    ratio = Fraction(num, den)
+    return ratio if ratio > 0 else (first,)
+
+
+class _TwinIndex:
+    """Twin groups and pendant vertices of a positive adjacency, kept
+    current while vertices are deleted from it.
+
+    Each vertex holds a random even token.  Its open key is the sum of its
+    neighbours' tokens and its closed key adds its own token plus 1, so
+    open keys are even, closed keys odd, and twins share a key: open twins
+    the open one, closed twins the closed one.  Deleting v subtracts v's
+    token from both keys of each neighbour, so only v's neighbours are
+    rekeyed.  A shared key only nominates a pair; `_pair_ratio` confirms
+    it, so a key collision costs a check and never a wrong pair.
+
+    Keys only decrease, so a vertex that leaves a group never returns to
+    it, and while two vertices stay in one group neither has lost a
+    neighbour; the weights of remaining vertices never change during a
+    reduction.  A valid pair stays valid, with the same ratio, until one of
+    them is deleted: every later deletion removes a common neighbour from
+    both, and while pairs are sought no vertex is a pendant, so a common
+    neighbour remains.  An invalid pair stays invalid while its witness
+    from `_pair_ratio` remains.  Verdicts are cached on those terms, so a
+    pair is checked again only when its witness has gone.
+
+    The least pair comes from a heap with lazy deletion: a group that gains
+    members gets an entry (least member, -1), a lower bound on any pair
+    inside it.  When an entry reaches the top, a (u, v) entry whose
+    vertices both remain is the answer; otherwise the group's least valid
+    pair is found and pushed in its place.
+    """
+
+    def __init__(self, adj: Adjacency):
+        self.adj = adj
+        rng = Random(0x5EED)
+        self.token = {v: (rng.getrandbits(63) + 1) << 1 for v in sorted(adj)}
+        self.key = {v: sum(self.token[x] for x in adj[v]) for v in adj}
+        self.groups: dict[int, set[int]] = {}
+        self.heap: list[tuple[int, int, int, Fraction | None]] = []
+        self.verdicts: dict[tuple[int, int], Fraction | tuple[int, ...]] = {}
+        self._joined: dict[int, None] = {}
+        for v in sorted(adj):
+            self._join(v, self.key[v])
+            self._join(v, self.key[v] + self.token[v] + 1)
+        self._flush()
+        self.pendants = [v for v in adj if len(adj[v]) == 1]
+        heapq.heapify(self.pendants)
+
+    def _join(self, v: int, key: int) -> None:
+        members = self.groups.get(key)
+        if members is None:
+            self.groups[key] = {v}
+        else:
+            members.add(v)
+            self._joined[key] = None
+
+    def _leave(self, v: int, key: int) -> None:
+        members = self.groups[key]
+        members.remove(v)
+        if not members:
+            del self.groups[key]
+
+    def _flush(self) -> None:
+        for key in self._joined:
+            members = self.groups.get(key)
+            if members is not None and len(members) > 1:
+                heapq.heappush(self.heap, (min(members), -1, key, None))
+        self._joined.clear()
+
+    def least_pendant(self) -> int | None:
+        while self.pendants:
+            v = self.pendants[0]
+            if v in self.adj and len(self.adj[v]) == 1:
+                return v
+            heapq.heappop(self.pendants)
+        return None
+
+    def least_pair(self) -> ContractiblePair | None:
+        """The lexicographically least contractible pair, or None."""
+        heap = self.heap
+        while heap:
+            u, v, key, ratio = heap[0]
+            members = self.groups.get(key)
+            if members is not None and u in members and v in members:
+                return ContractiblePair(u, v, ratio, self.adj[u].get(v, Fraction(0)))
+            heapq.heappop(heap)
+            if members is None or len(members) < 2:
+                continue
+            for a, b in combinations(sorted(members), 2):
+                r = self._ratio(a, b)
+                if r is not None:
+                    heapq.heappush(heap, (a, b, key, r))
                     break
-            else:
-                if ratio is None:
-                    ratio = Fraction(1)
-                if ratio > 0:
-                    yield ContractiblePair(u, v, ratio, adj[u].get(v, Fraction(0)))
+        return None
+
+    def _ratio(self, u: int, v: int) -> Fraction | None:
+        """The ratio of a contractible pair, else None, from the cached
+        verdict while it holds."""
+        verdict = self.verdicts.get((u, v))
+        if verdict is None or isinstance(verdict, tuple) and not all(x in self.adj for x in verdict):
+            verdict = _pair_ratio(self.adj, u, v)
+            # An empty witness (unequal degrees) holds only until the next
+            # deletion, and costs O(1) to find again.
+            if verdict != ():
+                self.verdicts[(u, v)] = verdict
+        return None if isinstance(verdict, tuple) else verdict
+
+    def delete(self, v: int) -> None:
+        """Remove v from the adjacency and rekey its neighbours."""
+        adj, key, token = self.adj, self.key, self.token
+        t = token[v]
+        self._leave(v, key[v])
+        self._leave(v, key[v] + t + 1)
+        for x in adj[v]:
+            del adj[x][v]
+            k = key[x]
+            c = k + token[x] + 1
+            self._leave(x, k)
+            self._leave(x, c)
+            self._join(x, k - t)
+            self._join(x, c - t)
+            key[x] = k - t
+            if len(adj[x]) == 1:
+                heapq.heappush(self.pendants, x)
+        del adj[v]
+        self._flush()
+
+
+def _contractible_pairs_adj(adj: Adjacency) -> list["ContractiblePair"]:
+    """Contractible pairs of a positive adjacency in (u, v) order; see
+    `find_contractible_pairs`."""
+    found: dict[tuple[int, int], ContractiblePair] = {}
+    for members in _TwinIndex(adj).groups.values():
+        for u, v in combinations(sorted(members), 2):
+            ratio = _pair_ratio(adj, u, v)
+            if not isinstance(ratio, tuple):
+                found[(u, v)] = ContractiblePair(u, v, ratio, adj[u].get(v, Fraction(0)))
+    return [found[pair] for pair in sorted(found)]
 
 
 # -- domain types -----------------------------------------------------------
@@ -382,10 +517,10 @@ def find_contractible_pairs(g: WeightedGraph) -> list[ContractiblePair]:
     K2 case) count as a closed pair with ratio fixed to 1 by convention.
 
     Twins u, v have equal open neighbourhoods when nonadjacent and equal
-    closed neighbourhoods when adjacent, so vertices are grouped by both and
-    only pairs inside one group are tested.  That costs O(n + m) for the
-    groups plus O(deg u) per pair inside a group for its weight ratio,
-    instead of testing all n(n-1)/2 pairs.
+    closed neighbourhoods when adjacent, so vertices are grouped by a hash of
+    both (`_TwinIndex`) and only pairs inside one group are tested.  That
+    costs O(n + m) for the groups plus O(deg u) per pair inside a group for
+    its weight ratio, instead of testing all n(n-1)/2 pairs.
     """
     if any(w <= 0 for w in g.edges.values()):
         raise InvalidGraph("contractible pairs are defined for positive weights; normalize signs first")

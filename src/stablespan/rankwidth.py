@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Collection, Iterator
 
 from .errors import InvalidSubset, LeafMismatch, SizeCapExceeded
 from .graphs import Adjacency, WeightedGraph, _is_connected
@@ -29,8 +29,6 @@ from .recognition import (
 )
 
 TreeEdge = tuple[int, int]
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -59,6 +57,11 @@ class DecompositionTree:
         return adj
 
     def validate(self) -> None:
+        self._checked_neighbors()
+
+    def _checked_neighbors(self) -> dict[int, set[int]]:
+        """`neighbors()`, after checking that the tree is a decomposition
+        tree: leaves of degree 1, internal nodes of degree 3, one tree."""
         adj = self.neighbors()
         for node in adj:
             deg = len(adj[node])
@@ -70,6 +73,7 @@ class DecompositionTree:
                 raise LeafMismatch(f"internal node {node} has degree {deg}, want 3")
         if len(self.edges) != len(adj) - 1 or not _is_connected(adj):
             raise LeafMismatch(f"{len(self.edges)} edges on {len(adj)} nodes do not form one tree")
+        return adj
 
 
 @dataclass(frozen=True)
@@ -84,22 +88,41 @@ def cut_rank(g: WeightedGraph, a: set[int] | frozenset[int]) -> int:
     a = set(a)
     if not a or not a <= set(range(g.n)) or len(a) == g.n:
         raise InvalidSubset("cut rank needs a proper nonempty vertex subset")
-    return _cut_rank(g.adjacency(), a)
+    adj = g.adjacency()
+    return _rank_across(_integer_rows(adj), [(u, x) for u in a for x in adj[u] if x not in a])
 
 
-def _cut_rank(adj: Adjacency, a: set[int] | frozenset[int]) -> int:
-    """Rank of the block rows(A) x columns(V-A), built on the boundary only:
-    rows of A with a neighbour outside A, columns outside A with a neighbour
-    in A.  Every row or column left out is zero, so the rank is unchanged."""
-    rows = [u for u in a if not adj[u].keys() <= a]
-    cols = sorted({x for u in rows for x in adj[u] if x not in a})
-    return _rank([[adj[u].get(x, _ZERO) for x in cols] for u in rows])
+def _integer_rows(adj: Adjacency) -> dict[int, dict[int, int]]:
+    """Each vertex's edge weights times the lcm of their denominators.
+
+    Scaling a row of a cut's block by a nonzero constant leaves its rank
+    unchanged, so every cut can be ranked on these integers.
+    """
+    rows = {}
+    for u, nbrs in adj.items():
+        scale = math.lcm(*(w.denominator for w in nbrs.values()))
+        rows[u] = {x: w.numerator * (scale // w.denominator) for x, w in nbrs.items()}
+    return rows
 
 
-def _rank(matrix: list[list[Fraction]]) -> int:
+def _rank_across(rows: dict[int, dict[int, int]], crossing: Collection[tuple[int, int]]) -> int:
+    """Rank of a cut given its crossing edges as (inside, outside) pairs,
+    on the integer rows of `_integer_rows`.
+
+    The block has one row per inside endpoint and one column per outside
+    endpoint; every other row or column of rows(A) x columns(V-A) is zero,
+    so the rank is unchanged.
+    """
+    inside = {u for u, _ in crossing}
+    cols = {x for _, x in crossing}
+    return _rank([[rows[u].get(x, 0) for x in cols] for u in inside])
+
+
+def _rank(matrix: list[list[Fraction | int]]) -> int:
     """Rank over Q by fraction-free elimination.
 
-    Each row is scaled to integers by the lcm of its denominators.  A pivot
+    Each row is scaled to integers by the lcm of its denominators (1 for a
+    row of integers, such as those of `_integer_rows`).  A pivot
     row's first nonzero column is cleared from every other row by cross
     multiplication, and each changed row is divided by the gcd of its
     entries, so entries stay small; zero rows drop out.
@@ -138,26 +161,25 @@ def tree_width(g: WeightedGraph, t: DecompositionTree) -> int:
 
 def cut_ranks(g: WeightedGraph, t: DecompositionTree) -> list[CutRankResult]:
     """Cut rank of every tree edge, with the graph vertices on the side of
-    its first endpoint.  Each rank is an elimination on the boundary block of
-    its cut (`_cut_rank`), which is small when the graph is sparse."""
-    adj = g.adjacency()
-    return [CutRankResult(edge, side, _cut_rank(adj, side)) for edge, side in _tree_sides(g, t)]
+    its first endpoint, after checking that `t` is a decomposition tree of
+    `g`.
 
-
-def _tree_sides(g: WeightedGraph, t: DecompositionTree) -> list[tuple[TreeEdge, frozenset[int]]]:
-    """Every tree edge with the graph vertices on the side of its first
-    endpoint, after checking that `t` is a decomposition tree of `g`.
-
-    The tree is rooted once, and one pass from the deepest nodes up collects
-    the graph vertices below every node.  The side of edge (a, b) is then
-    below[a] when b is the parent of a, and V - below[b] otherwise.  The
-    sides take O(n*h) for a tree of height h, against O(n) per edge for a
-    search of the tree.
+    One pass from the deepest tree nodes up collects, for every node, the
+    graph vertices below it and the edges crossing its cut.  The crossing
+    edges of a node are the symmetric difference of its children's, merged
+    small into large, so collecting them all costs O(m log n).  A node's cut
+    is ranked when the node is finished, on the block of its crossing edges'
+    endpoints, so a sparse cut costs little.  Ranking costs up to
+    Theta(n*m) overall when every cut is crossed by many edges, as for K_n
+    on a caterpillar tree.  The sides are part of the result, and the edge
+    of a leaf has all n - 1 other vertices on its far side, so listing them
+    takes Theta(n^2) time and memory whatever the graph.
     """
     if sorted(t.leaves.values()) != list(range(g.n)):
         raise LeafMismatch("tree leaves must biject to the graph vertices")
-    t.validate()
-    tree_adj = t.neighbors()
+    tree_adj = t._checked_neighbors()
+    adj = g.adjacency()
+    rows = _integer_rows(adj)
     root = next(iter(t.leaves))
     parent: dict[int, int | None] = {root: None}
     order = [root]
@@ -167,18 +189,42 @@ def _tree_sides(g: WeightedGraph, t: DecompositionTree) -> list[tuple[TreeEdge, 
                 parent[u] = node
                 order.append(u)
     below: dict[int, frozenset[int]] = {}
+    crossing: dict[int, set[tuple[int, int]]] = {}
+    rank: dict[int, int] = {}
     for node in reversed(order):
-        vertices = {t.leaves[node]} if node in t.leaves else set()
+        vertices = set()
+        parts = []
+        if node in t.leaves:
+            v = t.leaves[node]
+            vertices.add(v)
+            parts.append({(v, x) for x in adj[v]})
         for u in tree_adj[node]:
             if u != parent[node]:
                 vertices |= below[u]
+                parts.append(crossing.pop(u))
+        # An edge between two parts is internal to the union; every other
+        # crossing edge of a part crosses the union's cut.
+        parts.sort(key=len)
+        edges = parts.pop()
+        for part in parts:
+            for u, x in part:
+                if (x, u) in edges:
+                    edges.remove((x, u))
+                else:
+                    edges.add((u, x))
         below[node] = frozenset(vertices)
+        crossing[node] = edges
+        if parent[node] is not None:
+            rank[node] = _rank_across(rows, edges)
     everything = below[root]
-    sides = []
+    results = []
     for edge in t.edges:
         a, b = edge
-        sides.append((edge, below[a] if parent[a] == b else everything - below[b]))
-    return sides
+        if parent[a] == b:
+            results.append(CutRankResult(edge, below[a], rank[a]))
+        else:
+            results.append(CutRankResult(edge, everything - below[b], rank[b]))
+    return results
 
 
 def build_rank_decomposition(trace: ReductionTrace) -> DecompositionTree:
@@ -190,17 +236,19 @@ def build_rank_decomposition(trace: ReductionTrace) -> DecompositionTree:
     and sign flips change no cut rank, hence no tree structure.
     """
     leaf_node: dict[int, int] = {trace.final_vertex: 0}
-    edges: list[TreeEdge] = []
+    # Insertion-ordered, so a dropped edge leaves the order as a list
+    # removal would, in O(1).
+    edges: dict[TreeEdge, None] = {}
     neighbors: dict[int, set[int]] = {0: set()}
     next_id = 1
 
     def add_edge(a: int, b: int) -> None:
-        edges.append((a, b))
+        edges[(a, b)] = None
         neighbors.setdefault(a, set()).add(b)
         neighbors.setdefault(b, set()).add(a)
 
     def drop_edge(a: int, b: int) -> None:
-        edges.remove((a, b) if (a, b) in edges else (b, a))
+        del edges[(a, b) if (a, b) in edges else (b, a)]
         neighbors[a].discard(b)
         neighbors[b].discard(a)
 
@@ -238,28 +286,37 @@ def enumerate_cubic_trees(n: int) -> Iterator[DecompositionTree]:
     if n == 1:
         yield DecompositionTree(leaves={0: 0}, edges=())
         return
-    if n == 2:
-        yield DecompositionTree(leaves={0: 0, 1: 1}, edges=((0, 1),))
-        return
+    leaves = {v: v for v in range(n)}
+    for edges, _ in _grown_trees(n):
+        yield DecompositionTree(leaves=leaves, edges=tuple(edges))
 
-    def insert(edge_list: list[TreeEdge], leaf: int, next_internal: int) -> Iterator[tuple[list[TreeEdge], int]]:
-        for i, (a, b) in enumerate(edge_list):
-            m = next_internal
-            yield (
-                edge_list[:i] + edge_list[i + 1 :] + [(a, m), (m, b), (m, leaf)],
-                next_internal + 1,
+
+def _grown_trees(n: int) -> Iterator[tuple[list[TreeEdge], list[int]]]:
+    """Every cubic tree on leaves 0..n-1, n >= 2, as its edge list and its
+    cuts: for each edge, the leaves on its side without leaf 0, as a bit
+    mask.  The cuts are listed in their own order, not the edges'.
+
+    Rooted at leaf 0, edge e lies below edge s exactly when cut(e) is a
+    subset of cut(s).  Inserting leaf k into edge e therefore adds k to the
+    cut of every edge above e, splits e into a lower half with cut(e) and an
+    upper half with cut(e) + k, and adds the new leaf's edge with cut {k}.
+    """
+
+    def grow(edges: list[TreeEdge], cuts: list[int], k: int, m: int) -> Iterator[tuple[list[TreeEdge], list[int]]]:
+        if k == n:
+            yield edges, cuts
+            return
+        bit = 1 << k
+        for i, ((a, b), cut) in enumerate(zip(edges, cuts)):
+            others = cuts[:i] + cuts[i + 1 :]
+            yield from grow(
+                edges[:i] + edges[i + 1 :] + [(a, m), (m, b), (m, k)],
+                [c | bit if c & cut == cut else c for c in others] + [cut | bit, cut, bit],
+                k + 1,
+                m + 1,
             )
 
-    def grow(edge_list: list[TreeEdge], k: int, next_internal: int) -> Iterator[list[TreeEdge]]:
-        if k == n:
-            yield edge_list
-            return
-        for bigger, nxt in insert(edge_list, k, next_internal):
-            yield from grow(bigger, k + 1, nxt)
-
-    leaves = {v: v for v in range(n)}
-    for edge_list in grow([(0, 1)], 2, n):
-        yield DecompositionTree(leaves=leaves, edges=tuple(edge_list))
+    yield from grow([(0, 1)], [0b10], 2, n)
 
 
 def exhaustive_min_rankwidth(g: WeightedGraph, cap: int = 7) -> int:
@@ -267,20 +324,21 @@ def exhaustive_min_rankwidth(g: WeightedGraph, cap: int = 7) -> int:
 
     A cut and its complement have the same rank, so each of the
     2^(n-1) - 1 bipartitions is ranked once, keyed by its side without
-    vertex 0, however many of the (2n-5)!! trees contain it.
+    vertex 0, however many of the (2n-5)!! trees contain it.  The cuts come
+    straight from the tree enumeration, with no tree to validate or root.
     """
     if g.n < 2:
         raise InvalidSubset("rank-width needs at least two vertices")
     if g.n > cap:
         raise SizeCapExceeded(f"exhaustive rank-width capped at {cap} vertices, got {g.n}")
     adj = g.adjacency()
-    everything = frozenset(range(g.n))
-    ranks: dict[frozenset[int], int] = {}
+    rows = _integer_rows(adj)
+    ranks: dict[int, int] = {}
 
-    def rank(side: frozenset[int]) -> int:
-        key = everything - side if 0 in side else side
-        if key not in ranks:
-            ranks[key] = _cut_rank(adj, key)
-        return ranks[key]
+    def rank(cut: int) -> int:
+        if cut not in ranks:
+            inside = [v for v in range(g.n) if cut >> v & 1]
+            ranks[cut] = _rank_across(rows, [(u, x) for u in inside for x in adj[u] if not cut >> x & 1])
+        return ranks[cut]
 
-    return min(max(rank(side) for _, side in _tree_sides(g, t)) for t in enumerate_cubic_trees(g.n))
+    return min(max(rank(cut) for cut in cuts) for _, cuts in _grown_trees(g.n))

@@ -21,7 +21,7 @@ from .graphs import (
     Adjacency,
     MixedSignCertificate,
     WeightedGraph,
-    _contractible_pairs_adj,
+    _TwinIndex,
     _is_connected,
     normalize_signs,
 )
@@ -129,6 +129,13 @@ def recognize(g: WeightedGraph) -> RecognitionResult:
     reversed step is a weight-preserving copy.  Stuck means not stable; the
     all-weights-1 support of the remaining core is searched for a named
     forbidden subgraph to sharpen the diagnosis.
+
+    Twin groups, pendants and ratio verdicts persist from step to step
+    (`graphs._TwinIndex`): a deletion rekeys only the deleted vertex's
+    neighbours, and only groups whose members changed are searched again.
+    A search scans its group's pairs in order until one is valid, so the
+    cost is O(n + m) plus O(deg) per pair checked, not a rescan of the
+    whole graph per step.
     """
     if not g.is_connected():
         raise DisconnectedGraph("recognition requires a connected graph")
@@ -150,41 +157,33 @@ def recognize(g: WeightedGraph) -> RecognitionResult:
     positive, flips = normalized
     steps: list[TraceStep] = [SignFlipBlock(b) for b in flips]
     adj = positive.adjacency()
+    index = _TwinIndex(adj)
 
     while len(adj) > 1:
-        u = min((v for v in adj if len(adj[v]) == 1), default=None)
+        u = index.least_pendant()
         if u is not None:
             attach, weight = next(iter(adj[u].items()))
             steps.append(RemovePendant(u, attach, weight))
-            _delete_vertex(adj, u)
+            index.delete(u)
             continue
         # No member of a contractible pair is a cut vertex: every other
         # neighbor of one twin is a neighbor of the other, so deleting one
         # twin leaves the graph connected.
-        pair = next(_contractible_pairs_adj(adj), None)
+        pair = index.least_pair()
         if pair is None:
             core = frozenset(adj)
             return RecognitionResult(accepted=False, obstruction=_diagnose_core(adj, core))
+        # pair.ratio is w(x, pair.u)/w(x, pair.v): scaling pair.v by it makes
+        # the removal a weight-preserving copy.  Only the removed vertex is
+        # ever scaled, so its edges are not rewritten, just the bridge.
         removed, kept = pair.v, pair.u
-        # pair.ratio is w(x, pair.u)/w(x, pair.v); removing pair.v means the
-        # removed-over-kept ratio is its inverse.
         if pair.ratio != 1:
             steps.append(ScaleVertex(removed, pair.ratio))
-            for x in list(adj[removed]):
-                adj[removed][x] *= pair.ratio
-                adj[x][removed] *= pair.ratio
-        bridge = adj[removed].get(kept, Fraction(0))
-        steps.append(RemoveTwin(removed, kept, bridge))
-        _delete_vertex(adj, removed)
+        steps.append(RemoveTwin(removed, kept, pair.bridge * pair.ratio))
+        index.delete(removed)
 
     final = next(iter(adj))
     return RecognitionResult(accepted=True, trace=ReductionTrace(tuple(steps), final))
-
-
-def _delete_vertex(adj: Adjacency, v: int) -> None:
-    for u in adj[v]:
-        del adj[u][v]
-    del adj[v]
 
 
 def _diagnose_core(adj: Adjacency, core: frozenset[int]) -> Obstruction:

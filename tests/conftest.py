@@ -7,6 +7,11 @@ cographs by union/join composition, contractible pairs by testing every
 vertex pair, tree sides by a search per edge, cut ranks on the full dense
 block by elimination over Fraction, and determinants by Bareiss elimination
 over the `Polynomial` ring.
+
+The per-step references keep the package's earlier, simpler algorithms: a
+reduction loop that rescans every vertex pair after each removal, a
+factorization that substitutes into every factor at each copy or scaling,
+and a cut rank that scans every vertex of the side for its boundary.
 """
 
 from __future__ import annotations
@@ -14,9 +19,21 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from stablespan.graphs import ContractiblePair, WeightedGraph
-from stablespan.polynomials import Polynomial
-from stablespan.rankwidth import DecompositionTree
+from stablespan.factorization import LinearFactorization
+from stablespan.graphs import ContractiblePair, MixedSignCertificate, WeightedGraph, normalize_signs
+from stablespan.polynomials import LinearForm, Polynomial
+from stablespan.rankwidth import DecompositionTree, _rank
+from stablespan.recognition import (
+    Obstruction,
+    RecognitionResult,
+    ReductionTrace,
+    RemovePendant,
+    RemoveTwin,
+    ScaleVertex,
+    SignFlipBlock,
+    _diagnose_core,
+    construction_walk,
+)
 
 
 def bfs_distances(adj: dict[int, set[int]], start: int) -> dict[int, int]:
@@ -315,3 +332,104 @@ def polynomial_bareiss(matrix: list[list[Polynomial]]) -> Polynomial:
         prev = a[k][k]
     det = a[size - 1][size - 1]
     return det.scale(-1) if sign < 0 else det
+
+
+def reference_recognize(g: WeightedGraph) -> RecognitionResult:
+    """The reduction loop that rescans every vertex pair after each step:
+    the least pendant first, else the least pair of
+    `brute_contractible_pairs`, its larger vertex scaled and removed."""
+    normalized = normalize_signs(g)
+    if isinstance(normalized, MixedSignCertificate):
+        cert = normalized
+        return RecognitionResult(
+            accepted=False,
+            obstruction=Obstruction(
+                kind="mixed_sign",
+                detail=(
+                    f"edges {cert.center}-{cert.pos_neighbor} (weight {cert.pos_weight}) and "
+                    f"{cert.center}-{cert.neg_neighbor} (weight {cert.neg_weight}) have opposite "
+                    "signs inside one biconnected component"
+                ),
+                certificate=cert,
+            ),
+        )
+    positive, flips = normalized
+    steps = [SignFlipBlock(b) for b in flips]
+    adj = positive.adjacency()
+
+    def delete(v: int) -> None:
+        for u in adj[v]:
+            del adj[u][v]
+        del adj[v]
+
+    while len(adj) > 1:
+        u = min((v for v in adj if len(adj[v]) == 1), default=None)
+        if u is not None:
+            attach, weight = next(iter(adj[u].items()))
+            steps.append(RemovePendant(u, attach, weight))
+            delete(u)
+            continue
+        pairs = brute_contractible_pairs(adj)
+        if not pairs:
+            return RecognitionResult(accepted=False, obstruction=_diagnose_core(adj, frozenset(adj)))
+        pair = pairs[0]
+        removed, kept = pair.v, pair.u
+        if pair.ratio != 1:
+            steps.append(ScaleVertex(removed, pair.ratio))
+            for x in list(adj[removed]):
+                adj[removed][x] *= pair.ratio
+                adj[x][removed] *= pair.ratio
+        steps.append(RemoveTwin(removed, kept, adj[removed].get(kept, Fraction(0))))
+        delete(removed)
+    return RecognitionResult(accepted=True, trace=ReductionTrace(tuple(steps), next(iter(adj))))
+
+
+def substitute(form: LinearForm, var: int, replacement: LinearForm) -> LinearForm:
+    """Replace x_var in a linear form by another linear form."""
+    c_var = form.coefficient(var)
+    if c_var == 0:
+        return form
+    coeffs = {v: c for v, c in form.coefficients if v != var}
+    for v, c in replacement.coefficients:
+        coeffs[v] = coeffs.get(v, Fraction(0)) + c_var * c
+    return LinearForm.of(coeffs, form.constant + c_var * replacement.constant)
+
+
+def reference_factor_from_trace(trace: ReductionTrace) -> LinearFactorization:
+    """The factorization that rewrites every factor at each step: a copy
+    substitutes x_kept -> x_kept + x_removed, a scaling x_v -> x_v / c."""
+    constant = Fraction(1)
+    factors: list[LinearForm] = []
+    for step, adj in construction_walk(trace):
+        if isinstance(step, RemovePendant):
+            constant *= step.weight
+            if len(adj) >= 2:
+                factors.append(LinearForm.of({step.attach: 1}))
+        elif isinstance(step, RemoveTwin):
+            if len(adj) == 1:
+                constant *= step.bridge
+                continue
+            pair_form = LinearForm.of({step.kept: 1, step.removed: 1})
+            factors = [substitute(f, step.kept, pair_form) for f in factors]
+            coeffs = dict(adj[step.kept])
+            if step.bridge != 0:
+                coeffs[step.kept] = coeffs.get(step.kept, Fraction(0)) + step.bridge
+                coeffs[step.removed] = coeffs.get(step.removed, Fraction(0)) + step.bridge
+            factors.append(LinearForm.of(coeffs))
+        elif isinstance(step, ScaleVertex):
+            constant /= step.c
+            inv_form = LinearForm.of({step.v: 1 / step.c})
+            factors = [substitute(f, step.v, inv_form) for f in factors]
+        elif isinstance(step, SignFlipBlock):
+            if (len(step.block) - 1) % 2 == 1:
+                constant = -constant
+    return LinearFactorization(constant, tuple(factors))
+
+
+def boundary_cut_rank(adj: dict[int, dict[int, Fraction]], a: frozenset[int]) -> int:
+    """Rank of rows(A) x columns(V-A) built on its boundary, found by
+    scanning every vertex of A: rows with a neighbour outside A, columns
+    outside A with a neighbour in A."""
+    rows = [u for u in a if not adj[u].keys() <= a]
+    cols = sorted({x for u in rows for x in adj[u] if x not in a})
+    return _rank([[adj[u].get(x, Fraction(0)) for x in cols] for u in rows])

@@ -190,6 +190,15 @@ class TestReports:
         assert "cap of 64" in capsys.readouterr().err
         assert run(["falsify", "--poly", "x" + "9" * 5000]) == 2
         assert "number too long" in capsys.readouterr().err
+
+    def test_huge_variable_index_is_input_error(self, capsys):
+        # Uncapped, every falsifier trial draws a value for each of 10^8
+        # variables.
+        assert run(["falsify", "--poly", "x100000000"]) == 2
+        assert "cap of x1000" in capsys.readouterr().err
+        assert run(["falsify", "--poly", "x1 + x1001"]) == 2
+        assert "cap of x1000" in capsys.readouterr().err
+        assert run(["falsify", "--poly", "x1*x1000 + 1", "--trials", "1"]) in (0, 1)
         assert run(["falsify", "--poly", "x1^64 + x2", "--trials", "5"]) in (0, 1)
 
     def test_huge_decimal_exponent_is_input_error(self, tmp_path, capsys):

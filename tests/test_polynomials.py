@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablespan.errors import ParseError, VariableMismatch
+from stablespan.errors import ParseError, SizeCapExceeded, VariableMismatch
 from stablespan.polynomials import (
+    MAX_VARIABLES,
     GaussianRational,
     LinearForm,
     Polynomial,
@@ -237,6 +238,24 @@ class TestTextForm:
             parse_polynomial("1/0")
         with pytest.raises(ParseError):
             parse_polynomial("x1 + 3/0*x2")
+
+    def test_variable_index_cap(self):
+        assert parse_polynomial(f"x1 + x{MAX_VARIABLES}").nvars == MAX_VARIABLES
+        with pytest.raises(SizeCapExceeded):
+            parse_polynomial(f"x{MAX_VARIABLES + 1}")
+        with pytest.raises(SizeCapExceeded):
+            parse_polynomial("2*x1*x100000000")
+
+    @given(
+        st.dictionaries(st.integers(0, 12), fractions().filter(lambda c: c != 0), min_size=1, max_size=6),
+        fractions(),
+        st.integers(0, 20),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_linear_form_text_matches_polynomial_text(self, coeffs, constant, extra):
+        form = LinearForm.of(coeffs, constant)
+        nvars = max(coeffs) + 1 + extra
+        assert form.to_text() == form.to_polynomial(nvars).to_text()
 
 
 class TestDivexact:

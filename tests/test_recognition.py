@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import brute_contractible_pairs, brute_distance_hereditary
-from stablespan import formats, recognition
+from conftest import brute_distance_hereditary, reference_recognize
+from stablespan import formats
 from stablespan.corpus import (
     FIXTURES,
     c4_graph,
@@ -18,7 +19,9 @@ from stablespan.corpus import (
     random_constructed,
 )
 from stablespan.errors import DisconnectedGraph, MalformedTrace, SizeCapExceeded
+from stablespan.factorization import factor_from_trace
 from stablespan.graphs import WeightedGraph, find_contractible_pairs, induced_subgraph, scale_vertex
+from stablespan.rankwidth import build_rank_decomposition, cut_ranks
 from stablespan.recognition import (
     ForbiddenSubgraph,
     ReductionTrace,
@@ -214,9 +217,10 @@ class TestTheoryProperties:
 
 
 class TestGroupedFinderMatchesOracleLoop:
-    def test_seeded_sample(self, monkeypatch):
-        """Traces and obstructions equal those of the loop driven by the
-        all-pairs scan, on accepted, rejected and signed graphs."""
+    def test_seeded_sample(self):
+        """Traces and obstructions equal those of the reference loop, which
+        rescans all vertex pairs after every step, on accepted, rejected and
+        signed graphs."""
         rng = random.Random(37)
         graphs = []
         for i in range(240):
@@ -227,8 +231,7 @@ class TestGroupedFinderMatchesOracleLoop:
                 graphs.append(random_connected(rng, n, extra_edge_prob=0.3, signed=i % 4 == 0))
         grouped = [recognize(g) for g in graphs]
         assert 60 < sum(r.accepted for r in grouped) < 220
-        monkeypatch.setattr(recognition, "_contractible_pairs_adj", lambda adj: iter(brute_contractible_pairs(adj)))
-        assert [recognize(g) for g in graphs] == grouped
+        assert [reference_recognize(g) for g in graphs] == grouped
 
 
 class TestScale:
@@ -246,3 +249,33 @@ class TestScale:
         result = recognize(g)
         assert result.accepted
         assert replay_trace(result.trace) == g
+
+    def test_random_constructed_5000_through_the_stack(self):
+        g = random_constructed(random.Random(5000), 5000)
+        start = time.perf_counter()
+        result = recognize(g)
+        factorization = factor_from_trace(result.trace)
+        tree = build_rank_decomposition(result.trace)
+        elapsed = time.perf_counter() - start
+        assert result.accepted
+        assert replay_trace(result.trace) == g
+        assert len(factorization.factors) == g.n - 2
+        tree.validate()
+        assert sorted(tree.leaves.values()) == list(range(g.n))
+        # About 1 s on a 2-CPU machine; redoing global work at every step,
+        # these layers took over a minute.
+        assert elapsed < 30
+
+    def test_cut_ranks_random_constructed_1000(self):
+        # The sides alone hold about n^2 vertices (a leaf's edge has every
+        # other vertex on its far side): 2.5 GB of frozensets at n = 5000.
+        g = random_constructed(random.Random(1000), 1000)
+        tree = build_rank_decomposition(recognize(g).trace)
+        start = time.perf_counter()
+        ranks = cut_ranks(g, tree)
+        elapsed = time.perf_counter() - start
+        assert len(ranks) == 2 * g.n - 3
+        assert all(r.rank == 1 for r in ranks)
+        # About 0.2 s on a 2-CPU machine, against 1.6 s for a scan of every
+        # side.
+        assert elapsed < 10
